@@ -4,19 +4,22 @@ A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
 the single result writer emits rows in task order, so reruns are byte
 identical regardless of worker count.  Result CSVs are append-only with a
-per-row checksum; a resumed run validates existing rows and only computes the
+per-row checksum; a resumed run must carry the config digest of the manifest
+written before the first row, validates existing rows and only computes the
 missing (size, draw) pairs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from hashlib import sha256
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,8 @@ __all__ = [
 
 RESULT_HEADER = "beta,n,draw,window_a,window_delta,A_N,total_mass,node_max,bound,crc"
 
+DRAWS_LIMIT = 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -77,8 +82,13 @@ class ExperimentConfig:
         if not sizes or any(n < 8 for n in sizes):
             raise ValueError("all matrix sizes must be at least 8")
         object.__setattr__(self, "sizes", sizes)
-        if self.draws < 1:
-            raise ValueError("draws must be at least 1")
+        if not isinstance(self.draws, Integral) or not 1 <= self.draws < DRAWS_LIMIT:
+            # stream_id packs the draw into the low 20 bits.
+            raise ValueError(f"draws must be an integer in [1, {DRAWS_LIMIT})")
+        # Philox truncates a fractional seed, so 1.5 would replay seed 1
+        # under another digest.
+        if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.node_count < 2:
             raise ValueError("node count must be at least 2")
         if self.workers < 1:
@@ -197,6 +207,26 @@ def _read_completed(path: Path) -> dict:
     return done
 
 
+def _check_resume(result_path: Path, digest: str) -> None:
+    """Refuse to resume rows that another config wrote.
+
+    Rows are keyed by (n, draw) alone, so they may only be reused under the
+    config digest of the manifest that was written before the first of them.
+    """
+    if not result_path.exists():
+        return
+    manifest_path = result_path.parent / "manifest.json"
+    try:
+        previous = json.loads(manifest_path.read_text())["config_digest"]
+    except (OSError, ValueError, KeyError, TypeError):
+        previous = None
+    if previous != digest:
+        raise RuntimeError(
+            f"{result_path} was written under config digest {previous}, "
+            f"not {digest}; resume only with the same config or use a fresh output directory"
+        )
+
+
 def _psi_for(config: ExperimentConfig, n: int, sampler) -> float:
     """Bulk density at the window centre: analytic for the Gaussian
     convention, pooled pilot estimate otherwise."""
@@ -287,6 +317,8 @@ def run_verify(
     manifest = RunManifest(
         config_digest=config_hash(config), code_version=__version__, started_at=_now()
     )
+    _check_resume(out / f"results_beta{config.beta}.csv", manifest.config_digest)
+    manifest.write(out)
     try:
         summary = _run_verify_inner(config, cdf, out, manifest)
     except Exception as exc:
@@ -332,7 +364,10 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
                 initializer=_init_worker,
                 initargs=(canonical_json(config), psi_by_size, cdf.nodes.tolist()),
             ) as pool:
-                for task, row in zip(tasks, pool.map(_verify_task, tasks, chunksize=8)):
+                # Chunks of up to 8 tasks, but never fewer chunks than workers.
+                chunksize = min(8, math.ceil(len(tasks) / config.workers))
+                rows = pool.map(_verify_task, tasks, chunksize=chunksize)
+                for task, row in zip(tasks, rows):
                     new_rows[task] = row
         else:
             for task in tasks:

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_bvp
 
-from .kernels import CORR_ORDER_MAX, matrix_kernel, pfaffian
+from .kernels import CORR_ORDER_MAX, corr_fn, pfaffian, skew_kernel_block
 
 __all__ = [
     "GapCurve",
@@ -140,6 +140,7 @@ class SigmaTrajectory:
     private dense solution keeps collocation accuracy for off-grid queries.
     ``log_gap2`` and ``log_h`` are the cumulative integrals of v and of
     sqrt(-v')/2 from 0, evaluated by interpolation of a fine Simpson table.
+    Every lookup past ``t_max`` raises ValueError instead of clamping.
     """
 
     grid: np.ndarray
@@ -151,12 +152,15 @@ class SigmaTrajectory:
     _fine_log_gap2: np.ndarray = field(repr=False)
     _fine_log_h: np.ndarray = field(repr=False)
 
-    def _eval(self, t):
-        t = np.asarray(t, dtype=float)
+    def _check_reach(self, t: np.ndarray) -> None:
         if np.any(t > self.t_max * (1 + 1e-12)):
             raise ValueError(
                 f"trajectory covers t <= {self.t_max}, requested {float(np.max(t))}"
             )
+
+    def _eval(self, t):
+        t = np.asarray(t, dtype=float)
+        self._check_reach(t)
         return self._dense(np.minimum(t, self.t_max))
 
     def sigma_at(self, t):
@@ -197,14 +201,16 @@ class SigmaTrajectory:
 
     def log_gap2(self, t):
         """Integral of v over [0, t] (the log of the beta=2 gap probability
-        at gap length t/pi)."""
+        at gap length t/pi).  Raises past the solved range."""
         t = np.asarray(t, dtype=float)
+        self._check_reach(t)
         out = np.interp(t, self._fine_t, self._fine_log_gap2)
         return np.where(t < SEED_T0, _series_log_gap2(t), out)
 
     def log_h(self, t):
-        """Integral of sqrt(-v')/2 over [0, t]."""
+        """Integral of sqrt(-v')/2 over [0, t].  Raises past the solved range."""
         t = np.asarray(t, dtype=float)
+        self._check_reach(t)
         out = np.interp(t, self._fine_t, self._fine_log_h)
         return np.where(t < SEED_T0, _series_log_h(t), out)
 
@@ -450,24 +456,6 @@ def fredholm_g2(s: float, n: int = 40) -> float:
     return float(np.linalg.det(m))
 
 
-def _corr_fn_batch(beta: int, pts: np.ndarray) -> np.ndarray:
-    """Correlation function at a batch of point sets, shape (B, k)."""
-    if beta == 2:
-        return np.linalg.det(np.sinc(pts[:, :, None] - pts[:, None, :]))
-    nb, k = pts.shape
-    s, d, i = matrix_kernel(beta, pts[:, :, None], pts[:, None, :])
-    m = np.empty((nb, 2 * k, 2 * k))
-    m[:, 0::2, 0::2] = s
-    m[:, 0::2, 1::2] = d
-    m[:, 1::2, 0::2] = i
-    m[:, 1::2, 1::2] = s
-    j = np.zeros((2 * k, 2 * k))
-    j[0::2, 1::2] = np.eye(k)
-    j[1::2, 0::2] = -np.eye(k)
-    mj = m @ j
-    return np.array([pfaffian(x) for x in mj])
-
-
 _SERIES_NODES = {1: 1, 2: 16, 3: 12, 4: 8}
 
 
@@ -507,7 +495,13 @@ def series_gap(beta: int, s: float, k_max: int = 4) -> float:
             coords.append(s * running)
         coords = coords[::-1]
         pts = np.stack([c.ravel() for c in coords], axis=1)
-        vals = _corr_fn_batch(beta, pts)
+        # One batched Pfaffian per order, called from this module (not
+        # through corr_fn) so that perfbench's tracer, which wraps
+        # gaps.pfaffian, sees it.
+        if beta == 2:
+            vals = corr_fn(2, pts)
+        else:
+            vals = pfaffian(skew_kernel_block(beta, pts))
         total += (-1.0) ** k * float(s**k * np.sum(weight.ravel() * vals))
     return total
 

@@ -8,6 +8,11 @@ functions are determinants (beta=2) or Pfaffians (beta=1,4) built from these
 entries; a brute-force cyclic-product expansion of the Pfaffian form is kept
 as an independent oracle.
 
+The block builders, the Pfaffian and corr_fn take a leading batch axis: a
+stack of point sets of shape (..., k) is evaluated in one vectorised pass,
+which is how the correlation series of the gaps module integrates W_k over
+thousands of quadrature points at once.
+
 All functions here are pure; there is no shared mutable state.
 """
 
@@ -32,11 +37,13 @@ __all__ = [
     "sinc_antideriv",
     "sinc_deriv",
     "sine_kernel",
+    "skew_kernel_block",
 ]
 
-# Practical caps: the Pfaffian route costs O((2k)^3) per point but needs one
-# antiderivative per entry; the expansion sums over set partitions, block
-# bijections and 2^k index words and is only meant to cross-check small k.
+# Practical caps: the Pfaffian route costs O((2k)^3) per point set, vectorised
+# over a batch of point sets, and needs one antiderivative per entry; the
+# expansion sums over set partitions, block bijections and 2^k index words and
+# is only meant to cross-check small k.
 CORR_ORDER_MAX = 8
 EXPANSION_ORDER_MAX = 4
 
@@ -129,82 +136,113 @@ def regularized_antideriv4(u: float, v: float, x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pfaffian(a: np.ndarray) -> float:
+def pfaffian(a: np.ndarray):
     """Pfaffian of a real skew-symmetric matrix of even dimension.
 
     Skew-symmetric tridiagonalization by congruence (Parlett-Reid) with
     partial pivoting: O(n^3) work, the sign tracked exactly through the
     pivot swaps.  Satisfies pfaffian(a)**2 == det(a).
+
+    ``a`` may carry leading batch axes, shape (..., n, n): the elimination
+    then runs over the n columns once for the whole stack, each member with
+    its own pivots (Wimmer 2012, ACM TOMS 38:30), and an array of shape
+    (...) is returned; a single matrix gives a float.  A member whose pivot
+    vanishes is exactly 0.0, as is the single matrix.
     """
     a = np.array(a, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("pfaffian requires a square matrix")
-    n = a.shape[0]
+    n = a.shape[-1]
     if n % 2:
         raise ValueError("odd-dimensional skew matrix")
-    if n == 0:
-        return 1.0
-    pf = 1.0
+    batch = a.shape[:-2]
+    a = a.reshape((int(np.prod(batch)), n, n))
+    members = np.arange(a.shape[0])
+    pf = np.ones(a.shape[0])
+    dead = np.zeros(a.shape[0], dtype=bool)
     for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
-        if pivot != k + 1:
-            a[[k + 1, pivot], :] = a[[pivot, k + 1], :]
-            a[:, [k + 1, pivot]] = a[:, [pivot, k + 1]]
-            pf = -pf
-        if a[k + 1, k] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
+        pivot = k + 1 + np.argmax(np.abs(a[:, k + 1 :, k]), axis=1)
+        swap = pivot != k + 1
+        if np.any(swap):
+            rows = a[members, pivot, :]
+            a[members, pivot, :] = a[:, k + 1, :]
+            a[:, k + 1, :] = rows
+            cols = a[members, :, pivot]
+            a[members, :, pivot] = a[:, :, k + 1]
+            a[:, :, k + 1] = cols
+            pf = np.where(swap, -pf, pf)
+        # A zero pivot column makes the Pfaffian vanish; the member stays
+        # dead and is eliminated with a harmless divisor from here on.
+        dead |= a[:, k + 1, k] == 0.0
+        head = a[:, k, k + 1]
+        pf *= head
         if k + 2 < n:
-            tau = a[k, k + 2 :] / a[k, k + 1]
-            col = a[k + 2 :, k + 1]
-            a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+            tau = a[:, k, k + 2 :] / np.where(dead, 1.0, head)[:, None]
+            col = a[:, k + 2 :, k + 1]
+            a[:, k + 2 :, k + 2 :] += (
+                tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+            )
+    pf[dead] = 0.0
+    if not batch:
+        return float(pf[0])
+    return pf.reshape(batch)
 
 
-def matrix_kernel_block(beta: int, points: Sequence[float]) -> np.ndarray:
+def matrix_kernel_block(beta: int, points) -> np.ndarray:
     """Assemble the 2k x 2k block matrix of kernel evaluations at all pairs.
 
     Block (i, j) is the 2x2 kernel at (points[i], points[j]); multiplying by
     the block-diagonal symplectic unit on the right yields the skew matrix
-    whose Pfaffian is the k-point correlation function.
+    whose Pfaffian is the k-point correlation function.  Points of shape
+    (..., k) give blocks of shape (..., 2k, 2k).
     """
     pts = np.asarray(points, dtype=float)
-    k = pts.size
-    s, d, i = matrix_kernel(beta, pts[:, None], pts[None, :])
-    m = np.empty((2 * k, 2 * k))
-    m[0::2, 0::2] = s
-    m[0::2, 1::2] = d
-    m[1::2, 0::2] = i
-    m[1::2, 1::2] = s
+    k = pts.shape[-1]
+    s, d, i = matrix_kernel(beta, pts[..., :, None], pts[..., None, :])
+    m = np.empty(pts.shape[:-1] + (2 * k, 2 * k))
+    m[..., 0::2, 0::2] = s
+    m[..., 0::2, 1::2] = d
+    m[..., 1::2, 0::2] = i
+    m[..., 1::2, 1::2] = s
     return m
 
 
-def _symplectic_unit(k: int) -> np.ndarray:
+def skew_kernel_block(beta: int, points) -> np.ndarray:
+    """The skew matrix whose Pfaffian is the beta=1, 4 correlation function.
+
+    The kernel block of ``matrix_kernel_block`` times the block-diagonal
+    symplectic unit on the right; points of shape (..., k) give matrices of
+    shape (..., 2k, 2k).
+    """
+    m = matrix_kernel_block(beta, points)
+    k = m.shape[-1] // 2
     j = np.zeros((2 * k, 2 * k))
     j[0::2, 1::2] = np.eye(k)
     j[1::2, 0::2] = -np.eye(k)
-    return j
+    return m @ j
 
 
-def corr_fn(beta: int, points: Sequence[float]) -> float:
+def corr_fn(beta: int, points):
     """Limiting k-point bulk correlation function at the given rescaled points.
 
     beta=2 evaluates the determinant of the sine-kernel Gram matrix; beta=1
     and beta=4 evaluate the Pfaffian of the 2k x 2k kernel block matrix times
-    the block-diagonal symplectic unit.
+    the block-diagonal symplectic unit.  A point set of shape (k,) gives a
+    float; a batch of shape (..., k) gives an array of shape (...).
     """
     pts = np.asarray(points, dtype=float)
-    k = pts.size
+    k = pts.shape[-1] if pts.ndim else 0
     if k < 1:
         raise ValueError("at least one point is required")
     if k > CORR_ORDER_MAX:
         raise ValueError("correlation order too large")
     if beta == 2:
-        return float(np.linalg.det(np.sinc(pts[:, None] - pts[None, :])))
-    if beta not in (1, 4):
+        out = np.linalg.det(np.sinc(pts[..., :, None] - pts[..., None, :]))
+    elif beta in (1, 4):
+        out = pfaffian(skew_kernel_block(beta, pts))
+    else:
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
-    m = matrix_kernel_block(beta, pts)
-    return pfaffian(m @ _symplectic_unit(k))
+    return float(out) if pts.ndim == 1 else out
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:

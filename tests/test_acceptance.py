@@ -272,6 +272,7 @@ def test_c09_main_theorem_convergence(curves):
     )
 
 
+@pytest.mark.slow
 def test_c10_variance_scaling():
     budget = 1800.0
     t0 = time.perf_counter()
@@ -306,6 +307,7 @@ def test_c10_variance_scaling():
     )
 
 
+@pytest.mark.slow
 def test_c11_mcmc_validation():
     budget = 1200.0
     t0 = time.perf_counter()

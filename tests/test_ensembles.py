@@ -174,6 +174,7 @@ class TestMcmc:
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         assert log_density_diff(spec, x, 0, 1.0) == -np.inf
 
+    @pytest.mark.slow
     def test_two_particle_stationary_density(self):
         # n=2, beta=2, Gaussian: target density |x-y|^2 exp(-x^2-y^2)/Z.
         # Compare a 2D histogram of the chain with the quadrature-normalized

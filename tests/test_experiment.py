@@ -62,6 +62,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
 
+    def test_seed_and_draws_ranges(self):
+        ExperimentConfig(seed=2**64 - 1, draws=2**20 - 1)
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                ExperimentConfig(seed=seed)
+        # stream_id packs the draw into 20 bits: (32, 2**20) would be (33, 0).
+        for draws in (2**20, 2.5):
+            with pytest.raises(ValueError, match="draws"):
+                ExperimentConfig(draws=draws)
+
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"beta": 2, "bogus": 1}')
@@ -127,6 +137,27 @@ class TestVerifyRun:
         assert (out_a / "results_beta2.csv").read_bytes() == (
             out_b / "results_beta2.csv"
         ).read_bytes()
+
+    def test_small_parallel_run_matches_serial(self, tmp_path, tiny_cdf):
+        # Four tasks on two workers: the pool splits them into two chunks.
+        out_a, out_b = tmp_path / "serial", tmp_path / "pool"
+        run_verify(tiny_config(out_a, sizes=(32,), workers=1), cdf=tiny_cdf)
+        run_verify(tiny_config(out_b, sizes=(32,), workers=2), cdf=tiny_cdf)
+        for name in ("results_beta2.csv", "summary.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_resume_refuses_other_config(self, tmp_path, tiny_cdf):
+        run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
+        rows = (tmp_path / "results_beta2.csv").read_bytes()
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(RuntimeError, match="config digest"):
+            run_verify(tiny_config(tmp_path, seed=1), cdf=tiny_cdf)
+        assert (tmp_path / "results_beta2.csv").read_bytes() == rows
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+        # Rows without a manifest cannot be attributed to any config.
+        (tmp_path / "manifest.json").unlink()
+        with pytest.raises(RuntimeError, match="config digest"):
+            run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
 
     def test_single_draw_has_undefined_ci(self, tmp_path, tiny_cdf):
         cfg = tiny_config(tmp_path, draws=1)
@@ -203,6 +234,33 @@ class TestCli:
     def test_gap_usage_errors(self, capsys):
         assert main(["gap", "--beta", "1", "--s", "2", "--method", "fredholm"]) == 2
         assert main(["gap", "--beta", "2", "--s", "2", "--method", "series"]) == 2
+
+    def test_gap_past_trajectory_fails(self, capsys):
+        # pi * 70 lies beyond the largest trajectory (t <= 200).
+        assert main(["gap", "--beta", "2", "--s", "70"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trajectory covers")
+
+    def test_verify_refuses_other_seed(self, tmp_path, capsys):
+        # A seed-1 run into a seed-0 directory used to reuse every seed-0 row.
+        args = ["verify", "--beta", "2", "--sizes", "100", "--draws", "20",
+                "--out", str(tmp_path / "d")]
+        assert main(args + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config digest" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--draws", str(2**20)]]
+    )
+    def test_verify_rejects_out_of_range(self, tmp_path, capsys, flags):
+        rc = main(["verify", "--sizes", "32", "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_identity_exit_codes(self, tmp_path, capsys):
         ok = main(

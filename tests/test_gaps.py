@@ -56,6 +56,17 @@ class TestSigmaTrajectory:
         with pytest.raises(ValueError, match="trajectory"):
             gap_curves(traj, 40.0)  # needs 2*pi*40 > 140
 
+    @pytest.mark.parametrize("method", ["log_gap2", "log_h"])
+    def test_lookup_past_range_raises(self, traj, method):
+        lookup = getattr(traj, method)
+        assert np.isfinite(lookup(traj.t_max))
+        with pytest.raises(ValueError, match="trajectory covers"):
+            lookup(traj.t_max + 1.0)
+        with pytest.raises(ValueError, match="trajectory covers"):
+            lookup(np.array([1.0, 2.0 * traj.t_max]))
+        with pytest.raises(ValueError, match="trajectory covers"):
+            gap_probability(traj, 2, traj.t_max / PI + 1.0)
+
 
 class TestGapCurves:
     def test_small_gap_limit(self, curves):

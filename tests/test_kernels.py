@@ -128,6 +128,59 @@ def test_pfaffian_odd_dimension():
         pfaffian(np.zeros((3, 3)))
 
 
+def _skew_batch(rng, n, count):
+    """Random skew matrices with zero, singular and tied-pivot members."""
+    g = rng.normal(size=(count, n, n))
+    a = g - np.swapaxes(g, 1, 2)
+    a[::7] = 0.0
+    a[1::9, 0, :] = 0.0  # zero row and column: the first pivot vanishes
+    a[1::9, :, 0] = 0.0
+    a[3::13] = np.round(a[3::13])  # integer entries tie in the pivot search
+    if n >= 4:
+        # Rows/columns 1 and 2 equal up to the diagonal: singular matrices.
+        a[2::11, 2, :] = a[2::11, 1, :]
+        a[2::11, :, 2] = a[2::11, :, 1]
+        a[2::11, 1, 2] = a[2::11, 2, 1] = a[2::11, 1, 1] = a[2::11, 2, 2] = 0.0
+    return a
+
+
+def test_pfaffian_batch_matches_loop(rng):
+    for n in range(2, 17, 2):
+        a = _skew_batch(rng, n, 60)
+        batch = pfaffian(a)
+        loop = np.array([pfaffian(m) for m in a])
+        assert batch.shape == (60,)
+        assert batch.tobytes() == loop.tobytes()
+        assert np.all(batch[::7] == 0.0)
+        assert np.all(batch[1::9] == 0.0)
+    # Extra leading axes are kept; a single matrix gives a float.
+    a = _skew_batch(rng, 6, 12).reshape(3, 4, 6, 6)
+    assert pfaffian(a).shape == (3, 4)
+    assert pfaffian(a)[1, 2] == pfaffian(a[1, 2])
+    assert isinstance(pfaffian(a[0, 0]), float)
+
+
+def test_pfaffian_batch_squares_to_determinant(rng):
+    for n in (2, 6, 10, 16):
+        g = rng.normal(size=(200, n, n))
+        a = g - np.swapaxes(g, 1, 2)
+        pf = pfaffian(a)
+        np.testing.assert_allclose(pf * pf, np.linalg.det(a), rtol=1e-10)
+
+
+def test_corr_fn_batch_matches_scalar_and_expansion(rng):
+    for beta in (1, 2, 4):
+        for k in range(1, 7):
+            pts = rng.uniform(-2, 2, size=(25, k))
+            batch = corr_fn(beta, pts)
+            loop = np.array([corr_fn(beta, p) for p in pts])
+            assert batch.tobytes() == loop.tobytes()
+            if k <= 4:
+                oracle = [corr_fn_expansion(beta, p) for p in pts[:5]]
+                np.testing.assert_allclose(batch[:5], oracle, rtol=0, atol=1e-10)
+    assert corr_fn(4, np.zeros((2, 3, 2))).shape == (2, 3)
+
+
 def test_corr_fn_first_order():
     for beta in (1, 2, 4):
         assert corr_fn(beta, [0.37]) == pytest.approx(1.0, abs=1e-14)
