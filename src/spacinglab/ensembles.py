@@ -191,8 +191,24 @@ def log_density_diff(
     if np.any(new == 0.0):
         return -np.inf
     rep = np.sum(np.log(new)) - np.sum(np.log(old))
-    w = spec.log_weight(np.array([proposal, x[i]]))
-    return spec.beta * rep + float(w[0] - w[1])
+    w = _log_weight_at(spec, float(proposal)) - _log_weight_at(spec, float(x[i]))
+    return spec.beta * rep + w
+
+
+def _log_weight_at(spec: EnsembleSpec, x: float) -> float:
+    """``spec.log_weight`` at one float, without building an array.
+
+    The operations and their order are those of ``log_weight`` (Horner as in
+    numpy's ``polyval``), so the value is bit-identical.
+    """
+    if spec.is_gaussian:
+        return -0.25 * spec.beta * spec.n * x * x
+    c = spec.potential
+    v = c[-1] + x * 0
+    for k in range(2, len(c) + 1):
+        v = c[-k] + v * x
+    scale = spec.n if spec.beta in (1, 2) else 2 * spec.n
+    return -scale * v
 
 
 _ADAPT_WINDOW = 25

@@ -3,20 +3,24 @@
 A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
 the single result writer emits rows in task order, so reruns are byte
-identical regardless of worker count.  Result CSVs are append-only with a
-per-row checksum; a resumed run must carry the config digest of the manifest
-written before the first row, validates existing rows and only computes the
-missing (size, draw) pairs.
+identical regardless of worker count.  Every (size, draw) spectrum is drawn
+once: for a non-Gaussian potential the first min(32, draws) spectra of a size
+feed the density pilot and are then scored as that size's first rows.
+Result CSVs are append-only with a per-row checksum.  One output directory
+holds one config: a run into a directory with any result file must carry the
+config digest of the manifest written before the first row; it then
+validates existing rows and only computes the missing (size, draw) pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from functools import partial
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from numbers import Integral
@@ -26,19 +30,19 @@ import numpy as np
 
 from . import __version__
 from .ensembles import (
-    CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
     sample_mcmc,
     sample_tridiagonal,
     semicircle_density,
 )
-from .gaps import UniversalSpacingCDF, build_universal_cdf, integrate_sigma
+from .gaps import UniversalSpacingCDF, build_universal_cdf
 from .spacings import (
     Window,
     alternating_identity_check,
-    ks_node_distance,
+    default_window,
     estimate_density,
+    ks_node_distance,
     rescale_localize,
     sigma_cdf,
 )
@@ -155,6 +159,8 @@ class RunManifest:
     stream_scheme: str = "philox key=(seed, (n<<20)+draw)"
     warnings: list = field(default_factory=list)
     partial: bool = False
+    # Per size: chains drawn by this run and their min/median/max acceptance.
+    mcmc_acceptance: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> Path:
         path = Path(out_dir) / "manifest.json"
@@ -207,90 +213,126 @@ def _read_completed(path: Path) -> dict:
     return done
 
 
-def _check_resume(result_path: Path, digest: str) -> None:
-    """Refuse to resume rows that another config wrote.
+def _check_resume(out: Path, digest: str) -> None:
+    """Refuse to write into a directory whose results another config wrote.
 
-    Rows are keyed by (n, draw) alone, so they may only be reused under the
-    config digest of the manifest that was written before the first of them.
+    Rows are keyed by (n, draw) alone, and every result file in a directory
+    shares one manifest and one summary.  So a directory that holds any
+    ``results_beta*.csv`` belongs to the config digest of the manifest written
+    before its first row, and only that config may run there again.
     """
-    if not result_path.exists():
+    results = sorted(out.glob("results_beta*.csv"))
+    if not results:
         return
-    manifest_path = result_path.parent / "manifest.json"
     try:
-        previous = json.loads(manifest_path.read_text())["config_digest"]
+        previous = json.loads((out / "manifest.json").read_text())["config_digest"]
     except (OSError, ValueError, KeyError, TypeError):
         previous = None
     if previous != digest:
         raise RuntimeError(
-            f"{result_path} was written under config digest {previous}, "
-            f"not {digest}; resume only with the same config or use a fresh output directory"
+            f"{results[0]} was written under config digest {previous}, not {digest}; "
+            "one output directory holds one verify config: resume only with the "
+            "same config or use a fresh output directory"
         )
 
 
-def _psi_for(config: ExperimentConfig, n: int, sampler) -> float:
+PILOT_DRAWS = 32
+PILOT_BANDWIDTH = 0.1
+
+
+def _pilot_count(config: ExperimentConfig) -> int:
+    """Draws per size whose spectra feed the density pilot: the first
+    min(32, draws), and none for the Gaussian convention."""
+    return 0 if isinstance(config.potential, str) else min(PILOT_DRAWS, config.draws)
+
+
+def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
     """Bulk density at the window centre: analytic for the Gaussian
-    convention, pooled pilot estimate otherwise."""
-    if isinstance(config.potential, str):
+    convention, pooled estimate over the pilot spectra otherwise."""
+    if not pilot:
         psi = float(semicircle_density(config.window_a))
         if psi <= 0:
             raise ValueError("window centre outside the semicircle bulk")
         return psi
-    pilot = [sampler(n, draw) for draw in range(min(32, config.draws))]
-    return estimate_density(pilot, config.window_a, bandwidth=0.1)
+    try:
+        return estimate_density(pilot, config.window_a, bandwidth=PILOT_BANDWIDTH)
+    except ValueError as exc:
+        if len(pilot) < PILOT_DRAWS:
+            hint = f"run more draws (up to {PILOT_DRAWS} feed the pilot)"
+        else:
+            hint = "window_a may lie outside the bulk of this potential"
+        raise ValueError(
+            f"density pilot at n={n} failed ({exc}): no eigenvalue of its "
+            f"{len(pilot)} spectra supports window_a={config.window_a} within the "
+            f"bandwidth {PILOT_BANDWIDTH}; {hint}"
+        ) from exc
 
 
-def _draw_spectrum(config: ExperimentConfig, n: int, draw: int) -> np.ndarray:
+def _draw_spectrum(config: ExperimentConfig, n: int, draw: int):
+    """Spectrum of task (n, draw) and the health of its sampler:
+    ``(values, (acceptance rate or None, warnings))``."""
     spec = config.spec(n)
     state = SamplerState(seed=config.seed, stream=stream_id(n, draw))
     if spec.is_gaussian:
-        return sample_tridiagonal(spec, state)
+        return sample_tridiagonal(spec, state), (None, ())
     chain = sample_mcmc(spec, state, steps=600 + n, burn_in=500, thin=max(1, n // 10))
     last = None
     for last in chain:
         pass
-    return last
+    return last, (state.acceptance_rate, tuple(state.warnings))
 
 
-_TASK_CONTEXT = {}
-
-
-def _init_worker(config_json: str, psi_by_size: dict, nodes: list):
-    _TASK_CONTEXT["config"] = ExperimentConfig(**json.loads(config_json))
-    _TASK_CONTEXT["psi"] = {int(k): v for k, v in psi_by_size.items()}
-    _TASK_CONTEXT["nodes"] = np.asarray(nodes)
-
-
-def _verify_task(task) -> str:
-    n, draw = task
-    config = _TASK_CONTEXT["config"]
-    psi = _TASK_CONTEXT["psi"][n]
-    nodes = _TASK_CONTEXT["nodes"]
-    return _verify_row(config, n, draw, psi, nodes)
-
-
-def _verify_row(config, n, draw, psi, nodes) -> str:
-    values = _draw_spectrum(config, n, draw)
-    window = Window(
-        a=config.window_a,
-        delta=float(n) ** config.window_delta_exponent,
-        psi_a=psi,
-        n=n,
-    )
+def _verify_row(config, n, draw, values, psi, nodes) -> str:
+    """Score one spectrum: localize it to the window of size n, compare its
+    spacing distribution with the universal law at the nodes, and format the
+    checksummed result row."""
+    window = default_window(n, psi, config.window_a, config.window_delta_exponent)
     rs = rescale_localize(values, window)
     ecdf = sigma_cdf(rs)
-    report = ks_node_distance(ecdf, _NodeCarrier(nodes))
+    report = ks_node_distance(ecdf, nodes)
     payload = _row_payload(
         config.beta, n, draw, window, ecdf.total_mass, report.node_max, report.bound
     )
     return f"{payload},{_checksum(payload)}"
 
 
-class _NodeCarrier:
-    """Minimal stand-in with the node array, for worker processes that only
-    need the quantile nodes of the universal CDF."""
+def _draw_task(config, task):
+    n, draw = task
+    return _draw_spectrum(config, n, draw)
 
-    def __init__(self, nodes):
-        self.nodes = np.asarray(nodes)
+
+def _row_task(config, nodes, task):
+    n, draw, psi = task
+    values, health = _draw_spectrum(config, n, draw)
+    return _verify_row(config, n, draw, values, psi, nodes), health
+
+
+@contextmanager
+def _task_map(workers: int):
+    """``map(fn, tasks, chunksize)`` for the run: in-process for one worker,
+    else through one process pool that serves every stage of the run."""
+    if workers == 1:
+        yield lambda fn, tasks, chunksize=1: list(map(fn, tasks))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, tasks, chunksize=1: list(pool.map(fn, tasks, chunksize=chunksize))
+
+
+def _record_health(manifest: RunManifest, health: dict) -> None:
+    """Sampler warnings per (n, draw) and MCMC acceptance per size, over the
+    chains this run drew, into the manifest."""
+    rates = {}
+    for (n, draw), (rate, warnings) in sorted(health.items()):
+        manifest.warnings.extend(f"n={n}, draw={draw}: {w}" for w in warnings)
+        if rate is not None:
+            rates.setdefault(n, []).append(rate)
+    for n, values in rates.items():
+        manifest.mcmc_acceptance[str(n)] = {
+            "chains": len(values),
+            "min": float(np.min(values)),
+            "median": float(np.median(values)),
+            "max": float(np.max(values)),
+        }
 
 
 def _mean_ci(values: np.ndarray):
@@ -317,7 +359,7 @@ def run_verify(
     manifest = RunManifest(
         config_digest=config_hash(config), code_version=__version__, started_at=_now()
     )
-    _check_resume(out / f"results_beta{config.beta}.csv", manifest.config_digest)
+    _check_resume(out, manifest.config_digest)
     manifest.write(out)
     try:
         summary = _run_verify_inner(config, cdf, out, manifest)
@@ -332,6 +374,53 @@ def run_verify(
     return summary
 
 
+def _draw_rows(config, nodes, done: dict, manifest: RunManifest):
+    """Draw every spectrum the run still needs, once, and score it.
+
+    The pilot spectra (see ``_pilot_count``) give psi per size and are scored
+    here as rows; the pool draws and scores only the draws past the pilot.
+    Sampler health goes into the manifest, also when the run aborts.
+    Returns psi per size and the new rows keyed by (n, draw).
+    """
+    pilots = _pilot_count(config)
+    health = {}
+    new_rows = {}
+    try:
+        with _task_map(config.workers) as task_map:
+            keys = [(n, draw) for n in config.sizes for draw in range(pilots)]
+            spectra = {}
+            drawn = task_map(partial(_draw_task, config), keys)
+            for key, (values, draw_health) in zip(keys, drawn):
+                spectra[key] = values
+                health[key] = draw_health
+            psi_by_size = {
+                n: _psi(config, n, [spectra[(n, draw)] for draw in range(pilots)])
+                for n in config.sizes
+            }
+            for (n, draw), values in spectra.items():
+                if (n, draw) not in done:
+                    new_rows[(n, draw)] = _verify_row(
+                        config, n, draw, values, psi_by_size[n], nodes
+                    )
+
+            tasks = [
+                (n, draw, psi_by_size[n])
+                for n in config.sizes
+                for draw in range(pilots, config.draws)
+                if (n, draw) not in done
+            ]
+            # Chunks of up to 8 tasks, but never fewer chunks than workers.
+            chunksize = max(1, min(8, math.ceil(len(tasks) / config.workers)))
+            for (n, draw, _), (row, draw_health) in zip(
+                tasks, task_map(partial(_row_task, config, nodes), tasks, chunksize)
+            ):
+                new_rows[(n, draw)] = row
+                health[(n, draw)] = draw_health
+    finally:
+        _record_health(manifest, health)
+    return psi_by_size, new_rows
+
+
 def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
     if cdf is None:
         cdf = build_universal_cdf(
@@ -340,40 +429,12 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
     if cdf.node_count != config.node_count:
         raise ValueError("universal CDF node count does not match the config")
 
-    def sampler(n, draw):
-        return _draw_spectrum(config, n, draw)
-
-    psi_by_size = {n: _psi_for(config, n, sampler) for n in config.sizes}
-
     result_path = out / f"results_beta{config.beta}.csv"
     done = _read_completed(result_path)
     if done:
         manifest.warnings.append(f"resumed: {len(done)} rows already present")
-    tasks = [
-        (n, draw)
-        for n in config.sizes
-        for draw in range(config.draws)
-        if (n, draw) not in done
-    ]
 
-    new_rows = {}
-    if tasks:
-        if config.workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_worker,
-                initargs=(canonical_json(config), psi_by_size, cdf.nodes.tolist()),
-            ) as pool:
-                # Chunks of up to 8 tasks, but never fewer chunks than workers.
-                chunksize = min(8, math.ceil(len(tasks) / config.workers))
-                rows = pool.map(_verify_task, tasks, chunksize=chunksize)
-                for task, row in zip(tasks, rows):
-                    new_rows[task] = row
-        else:
-            for task in tasks:
-                new_rows[task] = _verify_row(
-                    config, task[0], task[1], psi_by_size[task[0]], cdf.nodes
-                )
+    psi_by_size, new_rows = _draw_rows(config, cdf.nodes, done, manifest)
 
     fresh = not result_path.exists()
     with result_path.open("a") as fh:
@@ -401,9 +462,9 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
             "draws": int(bounds.size),
             "mean_bound": mean,
             "ci95": ci,
-            "window_size": float(
-                2.0 * n * psi_by_size[n] * float(n) ** config.window_delta_exponent
-            ),
+            "window_size": default_window(
+                n, psi_by_size[n], config.window_a, config.window_delta_exponent
+            ).size,
         }
     means = [per_size[str(n)]["mean_bound"] for n in config.sizes]
     summary = {
@@ -432,23 +493,14 @@ def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
 
     violations = []
     checked = 0
+    pilots = _pilot_count(config)
     for n in config.sizes:
-        if isinstance(config.potential, str):
-            psi = float(semicircle_density(config.window_a))
-        else:
-            pilot = [
-                _draw_spectrum(config, n, draw)
-                for draw in range(min(32, config.draws))
-            ]
-            psi = estimate_density(pilot, config.window_a, bandwidth=0.1)
-        window = Window(
-            a=config.window_a,
-            delta=float(n) ** config.window_delta_exponent,
-            psi_a=psi,
-            n=n,
+        pilot = [_draw_spectrum(config, n, draw)[0] for draw in range(pilots)]
+        window = default_window(
+            n, _psi(config, n, pilot), config.window_a, config.window_delta_exponent
         )
         for draw in range(config.draws):
-            values = _draw_spectrum(config, n, draw)
+            values = pilot[draw] if draw < pilots else _draw_spectrum(config, n, draw)[0]
             rs = rescale_localize(values, window)
             if corrupt and draw == 0 and rs.inside.size >= 2:
                 # Displace one eigenvalue between the two computations so the

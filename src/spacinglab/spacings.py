@@ -335,13 +335,13 @@ class KSReport:
     bound: float
 
 
-def ks_node_distance(ecdf: EmpiricalSpacingCDF, cdf) -> KSReport:
-    """Evaluate |ecdf - i/M| at the quantile nodes of a universal CDF and
-    assemble the distance bound."""
-    nodes = np.asarray(cdf.nodes, dtype=float)
+def ks_node_distance(ecdf: EmpiricalSpacingCDF, nodes) -> KSReport:
+    """Evaluate |ecdf - i/M| at the M-1 quantile nodes of a universal law
+    (``UniversalSpacingCDF.nodes``) and assemble the distance bound."""
+    nodes = np.asarray(nodes, dtype=float)
     m = nodes.size + 1
     if m < 2:
-        raise ValueError("universal CDF must carry at least one interior node")
+        raise ValueError("need at least one interior quantile node")
     targets = np.arange(1, m) / m
     values = np.abs(ecdf.evaluate(nodes) - targets)
     node_max = float(values.max()) if values.size else 0.0

@@ -227,7 +227,7 @@ def test_c09_main_theorem_convergence(curves):
     for beta, sizes in ((2, (100, 400, 1600)), (1, (100, 400)), (4, (100, 400))):
         cdf = universal_cdf(beta, curves[beta], 50)
         reports = [
-            [ks_node_distance(sigma_cdf(rs), cdf) for rs in window_draws(beta, n, 200)]
+            [ks_node_distance(sigma_cdf(rs), cdf.nodes) for rs in window_draws(beta, n, 200)]
             for n in sizes
         ]
         means[beta] = [float(np.mean([r.bound for r in reps])) for reps in reports]

@@ -174,6 +174,31 @@ class TestMcmc:
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         assert log_density_diff(spec, x, 0, 1.0) == -np.inf
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "potential",
+        ["gaussian", (0.0, 0.0, 0.0, 0.0, 16.0), (0.3, 0.0, -1.0, 0.0, 0.25)],
+        ids=["gaussian", "quartic", "mixed-sign"],
+    )
+    def test_log_density_diff_matches_array_weight(self, beta, potential):
+        # The scalar weight must reproduce the array formula bit for bit, so
+        # that chains keep accepting exactly the same proposals.
+        rng = np.random.default_rng([beta, len(potential)])
+        for n in (2, 9, 33):
+            spec = EnsembleSpec(beta=beta, n=n, potential=potential)
+            for _ in range(40):
+                x = rng.normal(0.0, 1.5, n)
+                i = int(rng.integers(n))
+                proposal = x[i] + rng.normal(0.0, 0.5)
+                new = np.abs(proposal - x)
+                old = np.abs(x[i] - x)
+                new[i] = old[i] = 1.0
+                rep = np.sum(np.log(new)) - np.sum(np.log(old))
+                w = spec.log_weight(np.array([proposal, x[i]]))
+                expected = spec.beta * rep + float(w[0] - w[1])
+                got = log_density_diff(spec, x, i, proposal)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
     @pytest.mark.slow
     def test_two_particle_stationary_density(self):
         # n=2, beta=2, Gaussian: target density |x-y|^2 exp(-x^2-y^2)/Z.

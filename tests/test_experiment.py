@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from spacinglab import experiment
 from spacinglab.cli import main
 from spacinglab.experiment import (
     ExperimentConfig,
@@ -16,6 +18,8 @@ from spacinglab.experiment import (
     stream_id,
 )
 from spacinglab.gaps import build_universal_cdf
+
+QUARTIC = (0.0, 0.0, 0.0, 0.0, 16.0)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/spacinglab/summary_schema.json").read_text()
@@ -159,6 +163,46 @@ class TestVerifyRun:
         with pytest.raises(RuntimeError, match="config digest"):
             run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
 
+    def test_mcmc_chain_drawn_once_per_row(self, tmp_path, tiny_cdf, monkeypatch):
+        # 34 draws: 32 pilot spectra become rows, the pool draws the last two.
+        cfg = dict(sizes=(8,), draws=34, potential=QUARTIC)
+        run_verify(tiny_config(tmp_path / "pool", workers=2, **cfg), cdf=tiny_cdf)
+        streams = Counter()
+        real = experiment.sample_mcmc
+
+        def counted(spec, state, steps, burn_in, thin=1):
+            streams[state.stream] += 1
+            yield from real(spec, state, steps, burn_in, thin)
+            state.warnings.append("injected")
+
+        monkeypatch.setattr(experiment, "sample_mcmc", counted)
+        out = tmp_path / "serial"
+        run_verify(tiny_config(out, workers=1, **cfg), cdf=tiny_cdf)
+        assert streams == Counter(stream_id(8, d) for d in range(34))
+        for name in ("results_beta2.csv", "summary.json"):
+            assert (out / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"][0] == "n=8, draw=0: injected"
+        assert len(manifest["warnings"]) == 34
+        health = manifest["mcmc_acceptance"]["8"]
+        assert health["chains"] == 34
+        assert 0.05 < health["min"] <= health["median"] <= health["max"] < 0.95
+
+    def test_gaussian_manifest_has_no_mcmc_health(self, tmp_path, tiny_cdf):
+        run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["mcmc_acceptance"] == {}
+        assert manifest["warnings"] == []
+
+    def test_failed_pilot_names_its_size(self, tmp_path, tiny_cdf):
+        # A double well leaves no eigenvalue near the window centre at 0.
+        cfg = tiny_config(tmp_path, sizes=(8,), draws=1, potential=(0.3, 0, -1.0, 0, 0.25))
+        message = r"n=8.* 1 spectra.*bandwidth 0\.1; run more draws"
+        with pytest.raises(ValueError, match=message):
+            run_verify(cfg, cdf=tiny_cdf)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["partial"] is True
+
     def test_single_draw_has_undefined_ci(self, tmp_path, tiny_cdf):
         cfg = tiny_config(tmp_path, draws=1)
         summary = run_verify(cfg, cdf=tiny_cdf)
@@ -181,6 +225,21 @@ class TestIdentityRun:
         report = run_identity(tiny_config(tmp_path, sizes=(64,), draws=3), corrupt=True)
         assert not report["ok"]
         assert report["violations"][0]["detail"] == "injected corruption"
+
+
+    def test_mcmc_chain_drawn_once(self, tmp_path, monkeypatch):
+        streams = Counter()
+        real = experiment.sample_mcmc
+
+        def counted(spec, state, steps, burn_in, thin=1):
+            streams[state.stream] += 1
+            return real(spec, state, steps, burn_in, thin)
+
+        monkeypatch.setattr(experiment, "sample_mcmc", counted)
+        cfg = tiny_config(tmp_path, sizes=(8,), draws=33, potential=QUARTIC)
+        report = run_identity(cfg)
+        assert report["ok"]
+        assert streams == Counter(stream_id(8, d) for d in range(33))
 
 
 class TestCli:
@@ -252,6 +311,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config digest" in captured.err
+
+    def test_verify_refuses_second_config_in_one_directory(self, tmp_path, capsys):
+        # manifest.json and summary.json are shared by every beta in a directory,
+        # so a beta-2 run used to make beta 1's rows impossible to resume.
+        out = tmp_path / "d"
+        args = ["verify", "--sizes", "16", "--draws", "2", "--out", str(out)]
+        assert main(args + ["--beta", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(args + ["--beta", "2"]) == 1
+        assert "config digest" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(args + ["--beta", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["beta"] == 1
 
     @pytest.mark.parametrize(
         "flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--draws", str(2**20)]]

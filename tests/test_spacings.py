@@ -185,22 +185,16 @@ class TestKsNodeDistance:
     def test_exact_match_gives_floor(self):
         m = 10
         nodes = np.linspace(0.2, 1.8, m - 1)
-
-        class FakeCdf:
-            pass
-
-        fake = FakeCdf()
-        fake.nodes = nodes
         # Jumps exactly at the nodes, |A| = m, m+1 points inside: the ecdf
         # hits i/m at every node and the mass is one.
         ecdf = EmpiricalSpacingCDF(jumps=nodes.copy(), window_size=m, inside_count=m + 1)
-        report = ks_node_distance(ecdf, fake)
+        report = ks_node_distance(ecdf, nodes)
         assert report.node_max == 0.0
         assert report.bound == pytest.approx(1.0 / m)
 
     def test_empty_window(self, cdf2_m50):
         ecdf = sigma_cdf(make_rs([], size=1.0))
-        report = ks_node_distance(ecdf, cdf2_m50)
+        report = ks_node_distance(ecdf, cdf2_m50.nodes)
         m = cdf2_m50.node_count
         assert report.node_max == pytest.approx((m - 1) / m)
         assert report.bound >= 1.0
@@ -211,7 +205,7 @@ class TestKsNodeDistance:
         for stream in range(5):
             rs = gue_window(400, seed=62, stream=stream)
             ecdf = sigma_cdf(rs)
-            report = ks_node_distance(ecdf, cdf2_m50)
+            report = ks_node_distance(ecdf, cdf2_m50.nodes)
             s = rng.uniform(0.0, 6.0, 200)
             pointwise = np.abs(ecdf.evaluate(s) - cdf2_m50.evaluate(s))
             assert np.all(pointwise <= report.bound + 1e-12)
@@ -220,7 +214,9 @@ class TestKsNodeDistance:
         means = []
         for n in (100, 400):
             bounds = [
-                ks_node_distance(sigma_cdf(gue_window(n, seed=63, stream=s)), cdf2_m50).bound
+                ks_node_distance(
+                    sigma_cdf(gue_window(n, seed=63, stream=s)), cdf2_m50.nodes
+                ).bound
                 for s in range(100)
             ]
             means.append(np.mean(bounds))
