@@ -161,6 +161,8 @@ class RunManifest:
     partial: bool = False
     # Per size: chains drawn by this run and their min/median/max acceptance.
     mcmc_acceptance: dict = field(default_factory=dict)
+    # Per size: the window density psi(window_a) the rows were scored with.
+    psi: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> Path:
         path = Path(out_dir) / "manifest.json"
@@ -213,27 +215,36 @@ def _read_completed(path: Path) -> dict:
     return done
 
 
-def _check_resume(out: Path, digest: str) -> None:
+def _check_resume(out: Path, digest: str) -> dict:
     """Refuse to write into a directory whose results another config wrote.
 
     Rows are keyed by (n, draw) alone, and every result file in a directory
     shares one manifest and one summary.  So a directory that holds any
     ``results_beta*.csv`` belongs to the config digest of the manifest written
     before its first row, and only that config may run there again.
+
+    Returns the psi per size that the accepted manifest recorded (empty when
+    there is nothing to resume or it recorded none).
     """
     results = sorted(out.glob("results_beta*.csv"))
     if not results:
-        return
+        return {}
     try:
-        previous = json.loads((out / "manifest.json").read_text())["config_digest"]
+        previous = json.loads((out / "manifest.json").read_text())
+        digest_found = previous["config_digest"]
     except (OSError, ValueError, KeyError, TypeError):
-        previous = None
-    if previous != digest:
+        previous, digest_found = {}, None
+    if digest_found != digest:
         raise RuntimeError(
-            f"{results[0]} was written under config digest {previous}, not {digest}; "
+            f"{results[0]} was written under config digest {digest_found}, not {digest}; "
             "one output directory holds one verify config: resume only with the "
             "same config or use a fresh output directory"
         )
+    try:
+        recorded = {int(n): float(psi) for n, psi in previous.get("psi", {}).items()}
+    except (AttributeError, TypeError, ValueError):
+        return {}
+    return {n: psi for n, psi in recorded.items() if math.isfinite(psi) and psi > 0}
 
 
 PILOT_DRAWS = 32
@@ -359,10 +370,10 @@ def run_verify(
     manifest = RunManifest(
         config_digest=config_hash(config), code_version=__version__, started_at=_now()
     )
-    _check_resume(out, manifest.config_digest)
+    recorded_psi = _check_resume(out, manifest.config_digest)
     manifest.write(out)
     try:
-        summary = _run_verify_inner(config, cdf, out, manifest)
+        summary = _run_verify_inner(config, cdf, out, manifest, recorded_psi)
     except Exception as exc:
         manifest.partial = True
         manifest.warnings.append(f"aborted: {exc}")
@@ -374,29 +385,40 @@ def run_verify(
     return summary
 
 
-def _draw_rows(config, nodes, done: dict, manifest: RunManifest):
+def _draw_rows(config, nodes, done: dict, recorded_psi: dict, manifest: RunManifest):
     """Draw every spectrum the run still needs, once, and score it.
 
     The pilot spectra (see ``_pilot_count``) give psi per size and are scored
     here as rows; the pool draws and scores only the draws past the pilot.
-    Sampler health goes into the manifest, also when the run aborts.
+    A size whose rows are all present and whose psi an earlier run of this
+    config recorded draws no pilot: the recorded psi stands.
+    Psi and sampler health go into the manifest, also when the run aborts.
     Returns psi per size and the new rows keyed by (n, draw).
     """
     pilots = _pilot_count(config)
+    settled = {
+        n: recorded_psi[n]
+        for n in config.sizes
+        if n in recorded_psi and all((n, d) in done for d in range(config.draws))
+    }
     health = {}
     new_rows = {}
     try:
         with _task_map(config.workers) as task_map:
-            keys = [(n, draw) for n in config.sizes for draw in range(pilots)]
+            keys = [
+                (n, draw) for n in config.sizes if n not in settled for draw in range(pilots)
+            ]
             spectra = {}
             drawn = task_map(partial(_draw_task, config), keys)
             for key, (values, draw_health) in zip(keys, drawn):
                 spectra[key] = values
                 health[key] = draw_health
             psi_by_size = {
-                n: _psi(config, n, [spectra[(n, draw)] for draw in range(pilots)])
+                n: settled[n] if n in settled
+                else _psi(config, n, [spectra[(n, draw)] for draw in range(pilots)])
                 for n in config.sizes
             }
+            manifest.psi = {str(n): psi for n, psi in psi_by_size.items()}
             for (n, draw), values in spectra.items():
                 if (n, draw) not in done:
                     new_rows[(n, draw)] = _verify_row(
@@ -421,7 +443,7 @@ def _draw_rows(config, nodes, done: dict, manifest: RunManifest):
     return psi_by_size, new_rows
 
 
-def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
+def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_psi) -> dict:
     if cdf is None:
         cdf = build_universal_cdf(
             config.beta, s_max=config.s_max, m_nodes=config.node_count
@@ -434,7 +456,7 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest) -> dict:
     if done:
         manifest.warnings.append(f"resumed: {len(done)} rows already present")
 
-    psi_by_size, new_rows = _draw_rows(config, cdf.nodes, done, manifest)
+    psi_by_size, new_rows = _draw_rows(config, cdf.nodes, done, recorded_psi, manifest)
 
     fresh = not result_path.exists()
     with result_path.open("a") as fh:

@@ -169,12 +169,6 @@ class SigmaTrajectory:
         y = self._eval(np.where(small, SEED_T0, t))[0]
         return np.where(small, _series_sigma(t), y)
 
-    def sigma_prime_at(self, t):
-        t = np.asarray(t, dtype=float)
-        small = t < SEED_T0
-        y = self._eval(np.where(small, SEED_T0, t))[1]
-        return np.where(small, _series_sigma_prime(t), y)
-
     def v(self, t):
         """sigma(t)/t, extended by its limit -1/pi at t = 0."""
         t = np.asarray(t, dtype=float)

@@ -188,6 +188,38 @@ class TestVerifyRun:
         assert health["chains"] == 34
         assert 0.05 < health["min"] <= health["median"] <= health["max"] < 0.95
 
+    def test_complete_resume_draws_no_pilot(self, tmp_path, traj, monkeypatch):
+        cdf = build_universal_cdf(1, s_max=6.0, m_nodes=10, traj=traj)
+        cfg = tiny_config(tmp_path, beta=1, sizes=(16, 32), draws=2, potential=QUARTIC)
+        run_verify(cfg, cdf=cdf)
+        path = tmp_path / "results_beta1.csv"
+        rows = path.read_bytes()
+        summary = (tmp_path / "summary.json").read_bytes()
+        psi = json.loads((tmp_path / "manifest.json").read_text())["psi"]
+        assert set(psi) == {"16", "32"}
+        streams = Counter()
+        real = experiment.sample_mcmc
+
+        def counted(spec, state, steps, burn_in, thin=1):
+            streams[state.stream] += 1
+            return real(spec, state, steps, burn_in, thin)
+
+        monkeypatch.setattr(experiment, "sample_mcmc", counted)
+        run_verify(cfg, cdf=cdf)
+        assert streams == Counter()
+        assert path.read_bytes() == rows
+        assert (tmp_path / "summary.json").read_bytes() == summary
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["mcmc_acceptance"] == {}
+        assert manifest["psi"] == psi
+        assert "resumed: 4 rows already present" in manifest["warnings"]
+        # A size with a missing row draws its pilot again; the complete one does not.
+        path.write_bytes(rows[: rows.rstrip(b"\n").rindex(b"\n") + 1])
+        run_verify(cfg, cdf=cdf)
+        assert streams == Counter(stream_id(32, d) for d in range(2))
+        assert path.read_bytes() == rows
+        assert (tmp_path / "summary.json").read_bytes() == summary
+
     def test_gaussian_manifest_has_no_mcmc_health(self, tmp_path, tiny_cdf):
         run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
         manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -1,13 +1,16 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import gue_window
+from spacinglab import spacings
 from spacinglab.ensembles import CENTER_DENSITY, EnsembleSpec, SamplerState, sample_tridiagonal
 from spacinglab.spacings import (
     EmpiricalSpacingCDF,
+    IdentityReport,
     RescaledSpectrum,
     Window,
     alternating_identity_check,
@@ -155,6 +158,60 @@ class TestGammaCdf:
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
 
 
+def reference_identity_check(rs, comb=math.comb):
+    """The O(p^4) check: every span count re-summed from per-interior-count
+    tallies at every jump point."""
+    p = rs.inside.size
+    spans, gaps = spacings._pair_data(rs.inside)
+    if spans.size == 0:
+        return IdentityReport(ok=True, checked_points=0, violations=())
+    order = np.argsort(spans, kind="stable")
+    spans, gaps = spans[order], gaps[order]
+
+    violations = []
+    tally = [0] * p
+    sigma_count = 0
+    idx = 0
+    points = 0
+    while idx < spans.size:
+        s = spans[idx]
+        while idx < spans.size and spans[idx] <= s:
+            g = int(gaps[idx])
+            tally[g] += 1
+            if g == 0:
+                sigma_count += 1
+            idx += 1
+        points += 1
+        gamma_counts = [
+            sum(tally[g] * comb(g, k - 2) for g in range(p)) for k in range(2, p + 1)
+        ]
+        alternating = sum(
+            (-1) ** k * gamma_counts[k - 2] for k in range(2, p + 1)
+        )
+        if alternating != sigma_count:
+            violations.append(
+                (float(s), "identity", f"alternating={alternating} sigma={sigma_count}")
+            )
+        partial = 0
+        for m in range(2, p + 1):
+            partial += (-1) ** m * gamma_counts[m - 2]
+            if (-1) ** m * sigma_count > (-1) ** m * partial:
+                violations.append(
+                    (float(s), f"truncation m={m}", f"partial={partial} sigma={sigma_count}")
+                )
+    return IdentityReport(
+        ok=not violations, checked_points=points, violations=tuple(violations)
+    )
+
+
+def assert_same_report(rs, comb=math.comb):
+    got = alternating_identity_check(rs)
+    want = reference_identity_check(rs, comb)
+    assert (got.ok, got.checked_points, got.violations) == (
+        want.ok, want.checked_points, want.violations
+    )
+
+
 class TestAlternatingIdentity:
     def test_three_point_example(self):
         rs = make_rs([0.0, 0.4, 1.0], size=3.0)
@@ -179,6 +236,40 @@ class TestAlternatingIdentity:
     def test_ties_do_not_crash(self):
         rs = make_rs([0.0, 0.2, 0.2, 0.9], size=3.0)
         assert alternating_identity_check(rs).ok
+
+    def test_matches_reference_on_random_windows(self, rng):
+        for p in range(31):
+            assert_same_report(make_rs(np.sort(rng.normal(size=p)), size=5.0))
+            # Integer points: tied eigenvalues and tied spans.
+            assert_same_report(make_rs(np.sort(rng.integers(0, 8, p)), size=5.0))
+            # Equally spaced points: every span occurs many times exactly.
+            assert_same_report(make_rs(0.25 * np.arange(p), size=5.0))
+
+    def test_matches_reference_on_wide_goe_windows(self):
+        n = 400
+        window = default_window(n, psi_a=CENTER_DENSITY, delta_exponent=-0.3)
+        for stream in range(2):
+            values = sample_tridiagonal(
+                EnsembleSpec(beta=1, n=n), SamplerState(seed=66, stream=stream)
+            )
+            rs = rescale_localize(values, window)
+            assert rs.inside.size > 30
+            assert_same_report(rs)
+
+    def test_wrong_binomial_is_detected(self, monkeypatch):
+        # Running counts built from a wrong C(2, 1) must break the identity
+        # and the m >= 4 truncations, reported as the reference reports them.
+        def comb(g, j):
+            return math.comb(g, j) + (g == 2 and j == 1)
+
+        monkeypatch.setattr(spacings, "math", SimpleNamespace(comb=comb))
+        rs = make_rs([0.0, 0.3, 0.7, 1.2, 2.0])
+        assert_same_report(rs, comb)
+        report = alternating_identity_check(rs)
+        assert not report.ok
+        assert {kind.split()[0] for _, kind, _ in report.violations} == {
+            "identity", "truncation"
+        }
 
 
 class TestKsNodeDistance:
