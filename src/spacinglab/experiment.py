@@ -390,17 +390,14 @@ def _draw_rows(config, nodes, done: dict, recorded_psi: dict, manifest: RunManif
 
     The pilot spectra (see ``_pilot_count``) give psi per size and are scored
     here as rows; the pool draws and scores only the draws past the pilot.
-    A size whose rows are all present and whose psi an earlier run of this
-    config recorded draws no pilot: the recorded psi stands.
+    A size whose psi an earlier run of this config recorded is settled: the
+    recorded psi stands, no pilot is drawn, and the pool draws every missing
+    row of that size, pilot draws included.
     Psi and sampler health go into the manifest, also when the run aborts.
     Returns psi per size and the new rows keyed by (n, draw).
     """
     pilots = _pilot_count(config)
-    settled = {
-        n: recorded_psi[n]
-        for n in config.sizes
-        if n in recorded_psi and all((n, d) in done for d in range(config.draws))
-    }
+    settled = {n: recorded_psi[n] for n in config.sizes if n in recorded_psi}
     health = {}
     new_rows = {}
     try:
@@ -428,7 +425,7 @@ def _draw_rows(config, nodes, done: dict, recorded_psi: dict, manifest: RunManif
             tasks = [
                 (n, draw, psi_by_size[n])
                 for n in config.sizes
-                for draw in range(pilots, config.draws)
+                for draw in range(0 if n in settled else pilots, config.draws)
                 if (n, draw) not in done
             ]
             # Chunks of up to 8 tasks, but never fewer chunks than workers.

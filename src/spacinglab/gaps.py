@@ -25,6 +25,8 @@ by arbitrarily small perturbations.  A marching integrator therefore drifts
 off the connection no matter how small its local error; the trajectory is
 computed here as a two-point boundary value problem instead, collocating
 between the series seed at t0 and the algebraic expansion at the far end.
+The same solution carries Int v and (1/2) Int sqrt(-v') as two more
+components, so G_1, G_2 and G_4 are read from it without a quadrature table.
 
 Independent cross-checks: a Nystrom Fredholm determinant for beta=2 and a
 truncated correlation-function series for all beta (small s).
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_bvp
 
 from .kernels import CORR_ORDER_MAX, corr_fn, pfaffian, skew_kernel_block
 
@@ -70,11 +71,19 @@ SEED_T0 = 1e-3
 ASYM_COEFFS = {2: -0.25, 4: -2.5, 6: -65.5, 8: -3287.5}
 _T_FAR_MIN = 50.0
 
+# Reach of the trajectory, and so of the tabulated curves: G_4 at s needs
+# t = 2 pi s.
+T_MAX_LIMIT = 200.0
+S_MAX_LIMIT = T_MAX_LIMIT / (2 * PI)
+
 # Roundoff near the seed can push the radicands (-v' and the ODE radicand)
 # slightly negative; anything beyond this clamp is a genuine branch violation.
 RADICAND_CLAMP = 1e-12
 
-_FINE_STEP = 2e-4
+# Collocation residual per mesh interval of the sigma-BVP, and the s-step of
+# the tabulated gap curves.
+BVP_TOL = 1e-10
+GAP_STEP = 1e-3
 
 
 def _series_sigma(t):
@@ -126,55 +135,46 @@ def _asym_sigma_prime(t):
 
 
 def _sigma_rhs(t, y):
-    s, p = y
+    """y = [sigma, sigma', L, H] with L' = v = sigma/t and H' = sqrt(-v')/2."""
+    s, p = y[0], y[1]
     a = t * p - s
     rad = np.maximum((-a) * (a + p * p), 0.0)
-    return np.vstack([p, -(2.0 / t) * np.sqrt(rad)])
+    return np.vstack(
+        [p, -(2.0 / t) * np.sqrt(rad), s / t, 0.5 * np.sqrt(np.maximum(-a, 0.0)) / t]
+    )
 
 
 @dataclass(frozen=True)
 class SigmaTrajectory:
-    """Painleve sigma function tabulated with its derivative on [t0, t_max].
+    """Painleve sigma function and its gap integrals on [t0, t_max].
 
-    ``grid``/``sigma``/``sigma_prime`` carry the uniform tabulation; the
-    private dense solution keeps collocation accuracy for off-grid queries.
-    ``log_gap2`` and ``log_h`` are the cumulative integrals of v and of
-    sqrt(-v')/2 from 0, evaluated by interpolation of a fine Simpson table.
-    Every lookup past ``t_max`` raises ValueError instead of clamping.
+    One collocation solution of the sigma-BVP carries sigma, sigma' and the
+    cumulative integrals from 0 of v (``log_gap2``) and of sqrt(-v')/2
+    (``log_h``); every accessor evaluates that dense solution, and the seed
+    series below SEED_T0.  Every lookup past ``t_max`` raises ValueError
+    instead of clamping.
     """
 
-    grid: np.ndarray
-    sigma: np.ndarray
-    sigma_prime: np.ndarray
     t_max: float
     _dense: object = field(repr=False)
-    _fine_t: np.ndarray = field(repr=False)
-    _fine_log_gap2: np.ndarray = field(repr=False)
-    _fine_log_h: np.ndarray = field(repr=False)
 
-    def _check_reach(self, t: np.ndarray) -> None:
+    def _eval(self, t, series, from_solution):
+        """``series(t)`` below SEED_T0, else ``from_solution(t, y)`` with y the
+        dense solution at t."""
+        t = np.asarray(t, dtype=float)
         if np.any(t > self.t_max * (1 + 1e-12)):
             raise ValueError(
                 f"trajectory covers t <= {self.t_max}, requested {float(np.max(t))}"
             )
-
-    def _eval(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_reach(t)
-        return self._dense(np.minimum(t, self.t_max))
+        safe = np.clip(t, SEED_T0, self.t_max)
+        return np.where(t < SEED_T0, series(t), from_solution(safe, self._dense(safe)))
 
     def sigma_at(self, t):
-        t = np.asarray(t, dtype=float)
-        small = t < SEED_T0
-        y = self._eval(np.where(small, SEED_T0, t))[0]
-        return np.where(small, _series_sigma(t), y)
+        return self._eval(t, _series_sigma, lambda t, y: y[0])
 
     def v(self, t):
         """sigma(t)/t, extended by its limit -1/pi at t = 0."""
-        t = np.asarray(t, dtype=float)
-        small = t < SEED_T0
-        safe = np.where(small, 1.0, t)
-        return np.where(small, _series_v(t), self.sigma_at(safe) / safe)
+        return self._eval(t, _series_v, lambda t, y: y[0] / t)
 
     def neg_v_prime(self, t):
         """-v'(t) = (sigma - t sigma')/t^2, clamped against roundoff.
@@ -182,12 +182,9 @@ class SigmaTrajectory:
         Raises if the radicand undershoots the clamp; on the true branch the
         quantity is non-negative for all t.
         """
-        t = np.asarray(t, dtype=float)
-        small = t < SEED_T0
-        safe = np.where(small, 1.0, t)
-        y = self._eval(np.where(small, SEED_T0, safe))
-        raw = (y[0] - safe * y[1]) / (safe * safe)
-        raw = np.where(small, _series_neg_v_prime(t), raw)
+        raw = self._eval(
+            t, _series_neg_v_prime, lambda t, y: (y[0] - t * y[1]) / (t * t)
+        )
         if np.any(raw < -RADICAND_CLAMP):
             bad = float(np.asarray(t).ravel()[int(np.argmin(raw))])
             raise RuntimeError(f"negative radicand in sqrt(-v') at t={bad:g}")
@@ -196,45 +193,43 @@ class SigmaTrajectory:
     def log_gap2(self, t):
         """Integral of v over [0, t] (the log of the beta=2 gap probability
         at gap length t/pi).  Raises past the solved range."""
-        t = np.asarray(t, dtype=float)
-        self._check_reach(t)
-        out = np.interp(t, self._fine_t, self._fine_log_gap2)
-        return np.where(t < SEED_T0, _series_log_gap2(t), out)
+        return self._eval(t, _series_log_gap2, lambda t, y: y[2])
 
     def log_h(self, t):
         """Integral of sqrt(-v')/2 over [0, t].  Raises past the solved range."""
-        t = np.asarray(t, dtype=float)
-        self._check_reach(t)
-        out = np.interp(t, self._fine_t, self._fine_log_h)
-        return np.where(t < SEED_T0, _series_log_h(t), out)
+        return self._eval(t, _series_log_h, lambda t, y: y[3])
 
 
-def integrate_sigma(
-    t_max: float, tol: float = 1e-10, seed_at: float = SEED_T0
-) -> SigmaTrajectory:
-    """Solve the sigma-form ODE on [seed_at, t_max].
+def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
+    """Solve the sigma-form ODE, with the two gap integrals, on [seed_at, t_max].
 
-    The boundary conditions pin the cubic series value at the seed and the
-    algebraic expansion value at the far end (placed at least at t = 50 so
-    the expansion is accurate); collocation then resolves the saddle
-    connection with residual below ``tol`` per mesh interval.  The computed
-    solution is verified against the seed series on [t0, 10 t0] and against
-    the positivity of both square-root radicands before being accepted.
+    The boundary conditions pin the cubic series values of sigma and of both
+    integrals at the seed and the algebraic expansion value of sigma at the
+    far end (placed at least at t = 50 so the expansion is accurate);
+    collocation then resolves the saddle connection with residual below
+    BVP_TOL per mesh interval.  The computed solution is verified against
+    the seed series on [t0, 10 t0] and against the positivity of both
+    square-root radicands before being accepted.
 
     ``seed_at`` exists so consistency under re-seeding (e.g. at 2 t0) can be
     exercised; production use keeps the default.
     """
-    if not 0.0 < t_max <= 200.0:
-        raise ValueError("t_max must lie in (0, 200]")
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in double precision")
+    from scipy.integrate import solve_bvp
+
+    if not 0.0 < t_max <= T_MAX_LIMIT:
+        raise ValueError(f"t_max must lie in (0, {T_MAX_LIMIT:g}]")
     if not SEED_T0 <= seed_at <= 0.1:
         raise ValueError("seed point must lie in [SEED_T0, 0.1]")
     t_far = max(float(t_max), _T_FAR_MIN)
 
     def bc(ya, yb):
         return np.array(
-            [ya[0] - float(_series_sigma(seed_at)), yb[0] - float(_asym_sigma(t_far))]
+            [
+                ya[0] - float(_series_sigma(seed_at)),
+                yb[0] - float(_asym_sigma(t_far)),
+                ya[2] - float(_series_log_gap2(seed_at)),
+                ya[3] - float(_series_log_h(seed_at)),
+            ]
         )
 
     mesh = np.concatenate(
@@ -245,15 +240,15 @@ def integrate_sigma(
     )
     guess = np.where(mesh < 2.0, _series_sigma(mesh), _asym_sigma(mesh))
     guess_p = np.where(mesh < 2.0, _series_sigma_prime(mesh), _asym_sigma_prime(mesh))
-    sol = solve_bvp(
-        _sigma_rhs, bc, mesh, np.vstack([guess, guess_p]), tol=tol, max_nodes=400000
-    )
+    # The integrals feed nothing back into sigma, so they can start from zero.
+    y0 = np.vstack([guess, guess_p, np.zeros((2, mesh.size))])
+    sol = solve_bvp(_sigma_rhs, bc, mesh, y0, tol=BVP_TOL, max_nodes=400000)
     if sol.status != 0:
         raise RuntimeError(f"sigma-ODE collocation failed: {sol.message}")
 
     # Branch acceptance: radicand sign along the mesh and seed consistency.
     tt = sol.x
-    sig, sigp = sol.y
+    sig, sigp = sol.y[:2]
     a = tt * sigp - sig
     rad = (-a) * (a + sigp * sigp)
     if np.any(rad < -RADICAND_CLAMP):
@@ -262,30 +257,7 @@ def integrate_sigma(
     near = np.linspace(seed_at, 10 * seed_at, 50)
     if np.max(np.abs(sol.sol(near)[0] - _series_sigma(near))) > 1e-8:
         raise RuntimeError(f"sigma-ODE branch violation at s={10 * seed_at:g}")
-
-    fine = np.arange(seed_at, t_far + _FINE_STEP / 2, _FINE_STEP)
-    ys = sol.sol(fine)
-    v_fine = ys[0] / fine
-    nvp_fine = np.maximum((ys[0] - fine * ys[1]) / (fine * fine), 0.0)
-    log_gap2 = cumulative_simpson(v_fine, x=fine, initial=0.0) + float(
-        _series_log_gap2(seed_at)
-    )
-    log_h = cumulative_simpson(0.5 * np.sqrt(nvp_fine), x=fine, initial=0.0) + float(
-        _series_log_h(seed_at)
-    )
-
-    grid = np.arange(seed_at, t_far + 5e-4, 1e-3)
-    tab = sol.sol(grid)
-    return SigmaTrajectory(
-        grid=grid,
-        sigma=tab[0],
-        sigma_prime=tab[1],
-        t_max=t_far,
-        _dense=sol.sol,
-        _fine_t=fine,
-        _fine_log_gap2=log_gap2,
-        _fine_log_h=log_h,
-    )
+    return SigmaTrajectory(t_max=t_far, _dense=sol.sol)
 
 
 @dataclass(frozen=True)
@@ -298,41 +270,43 @@ class GapCurve:
     gap_prime: np.ndarray
 
 
-def gap_curves(
-    traj: SigmaTrajectory, s_max: float, step: float = 1e-3
-) -> dict[int, GapCurve]:
-    """Tabulate G_1, G_2, G_4 and their derivatives on [0, s_max].
+def _gap_and_slope(traj: SigmaTrajectory, beta: int, s):
+    """G_beta(s) and G_beta'(s) from the trajectory's gap integrals.
+
+    G_2 and the ratio G_2/G_1 are formed in log space so that the values
+    survive far into the Gaussian tail without underflow; the symplectic
+    value at s is assembled from the others at 2s.
+    """
+    if beta not in (1, 2, 4):
+        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    u = (2.0 if beta == 4 else 1.0) * PI * np.asarray(s, dtype=float)
+    el, jay = traj.log_gap2(u), traj.log_h(u)
+    v, w = traj.v(u), np.sqrt(traj.neg_v_prime(u))
+    if beta == 2:
+        g = np.exp(el)
+        return g, PI * v * g
+    if beta == 1:
+        g = np.exp(0.5 * el - jay)
+        return g, g * (PI / 2.0) * (v - w)
+    g1p_at_2s = np.exp(0.5 * el - jay) * (PI / 2.0) * (v - w)
+    g4p = g1p_at_2s + (PI / 2.0) * np.exp(0.5 * el + jay) * (v + w)
+    return np.exp(0.5 * el) * np.cosh(jay), g4p
+
+
+def gap_curves(traj: SigmaTrajectory, s_max: float) -> dict[int, GapCurve]:
+    """Tabulate G_1, G_2, G_4 and their derivatives on [0, s_max] in steps
+    of GAP_STEP.
 
     Requires the trajectory to reach pi*s_max for beta=1,2 and 2*pi*s_max for
-    beta=4 (the symplectic curve at s is assembled from the others at 2s).
-    G_2 and the ratio G_2/G_1 are formed in log space so that the tabulation
-    survives far into the Gaussian tail without underflow.
+    beta=4.
     """
     if traj.t_max < 2 * PI * s_max * (1 - 1e-12):
         raise ValueError(
             f"trajectory reaches t={traj.t_max:g} but 2*pi*s_max={2 * PI * s_max:g} is needed"
         )
-    grid = np.arange(0.0, s_max + step / 2, step)
-    u1 = PI * grid
-    u4 = 2.0 * PI * grid
-
-    el1, jay1 = traj.log_gap2(u1), traj.log_h(u1)
-    v1, w1 = traj.v(u1), np.sqrt(traj.neg_v_prime(u1))
-    g2 = np.exp(el1)
-    g2p = PI * v1 * g2
-    g1 = np.exp(0.5 * el1 - jay1)
-    g1p = g1 * (PI / 2.0) * (v1 - w1)
-
-    el4, jay4 = traj.log_gap2(u4), traj.log_h(u4)
-    v4, w4 = traj.v(u4), np.sqrt(traj.neg_v_prime(u4))
-    g4 = np.exp(0.5 * el4) * np.cosh(jay4)
-    g1p_at_2s = np.exp(0.5 * el4 - jay4) * (PI / 2.0) * (v4 - w4)
-    g4p = g1p_at_2s + (PI / 2.0) * np.exp(0.5 * el4 + jay4) * (v4 + w4)
-
+    grid = np.arange(0.0, s_max + GAP_STEP / 2, GAP_STEP)
     curves = {
-        1: GapCurve(1, grid, g1, g1p),
-        2: GapCurve(2, grid, g2, g2p),
-        4: GapCurve(4, grid, g4, g4p),
+        beta: GapCurve(beta, grid, *_gap_and_slope(traj, beta, grid)) for beta in (1, 2, 4)
     }
     for c in curves.values():
         if np.any(c.gap_prime > 1e-10) or np.any(np.diff(c.gap) > 1e-12):
@@ -404,14 +378,18 @@ def build_universal_cdf(
     beta: int,
     s_max: float = 10.0,
     m_nodes: int = 100,
-    tol: float = 1e-10,
     traj: SigmaTrajectory | None = None,
 ) -> UniversalSpacingCDF:
-    """Painleve pipeline in one call: trajectory, gap curve, CDF and nodes."""
+    """Painleve pipeline in one call: trajectory, gap curve, CDF and nodes.
+
+    s_max must lie in (0, S_MAX_LIMIT], the reach of the trajectory.
+    """
     if beta not in (1, 2, 4):
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    if not 0.0 < s_max <= S_MAX_LIMIT:
+        raise ValueError(f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {s_max:g}")
     if traj is None:
-        traj = integrate_sigma(2 * PI * s_max, tol=tol)
+        traj = integrate_sigma(2 * PI * s_max)
     curves = gap_curves(traj, s_max)
     return universal_cdf(beta, curves[beta], m_nodes)
 
@@ -420,14 +398,7 @@ def gap_probability(traj: SigmaTrajectory, beta: int, s: float) -> float:
     """Gap probability G_beta(s) straight from the trajectory (no tabulation)."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    if beta == 2:
-        return float(np.exp(traj.log_gap2(PI * s)))
-    if beta == 1:
-        return float(np.exp(0.5 * traj.log_gap2(PI * s) - traj.log_h(PI * s)))
-    if beta == 4:
-        u = 2.0 * PI * s
-        return float(np.exp(0.5 * traj.log_gap2(u)) * np.cosh(traj.log_h(u)))
-    raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    return float(_gap_and_slope(traj, beta, s)[0])
 
 
 def fredholm_g2(s: float, n: int = 40) -> float:

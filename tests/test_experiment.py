@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import spacinglab
 from spacinglab import experiment
 from spacinglab.cli import main
 from spacinglab.experiment import (
@@ -213,10 +217,10 @@ class TestVerifyRun:
         assert manifest["mcmc_acceptance"] == {}
         assert manifest["psi"] == psi
         assert "resumed: 4 rows already present" in manifest["warnings"]
-        # A size with a missing row draws its pilot again; the complete one does not.
+        # A missing row is drawn alone: its size's recorded psi stands.
         path.write_bytes(rows[: rows.rstrip(b"\n").rindex(b"\n") + 1])
         run_verify(cfg, cdf=cdf)
-        assert streams == Counter(stream_id(32, d) for d in range(2))
+        assert streams == Counter([stream_id(32, 1)])
         assert path.read_bytes() == rows
         assert (tmp_path / "summary.json").read_bytes() == summary
 
@@ -302,6 +306,34 @@ class TestCli:
               "--out", str(tmp_path)])
         lines = (tmp_path / "nodes_beta2.csv").read_text().splitlines()
         assert len(lines) == 2  # header + single median node
+
+    @pytest.mark.parametrize("s_max", ["40", "0"])
+    def test_universal_rejects_s_max_past_reach(self, tmp_path, capsys, s_max):
+        # 2*pi*40 lies past the trajectory's reach; the message used to name
+        # t_max, which the user never set.
+        rc = main(["universal", "--beta", "2", "--s-max", s_max, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: s_max must lie in (0, 100/pi")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_max": float(s_max)}))
+        rc = main(["verify", "--sizes", "16", "--draws", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: s_max must lie in")
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # Only the painleve route needs scipy.integrate; it is imported there.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(spacinglab.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        code = "import sys, spacinglab.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_gap_tiny_s(self, capsys):
         assert main(["gap", "--beta", "2", "--s", "1e-9"]) == 0
