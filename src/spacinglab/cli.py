@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .ensembles import EnsembleSpec, SamplerState, dump_spectra, sample_tridiagonal
-from .experiment import ExperimentConfig, load_config, run_identity, run_verify, stream_id
+from .ensembles import dump_spectra
+from .experiment import (
+    ExperimentConfig, _draw_spectrum, load_config, run_identity, run_verify
+)
 from .gaps import (
+    T_MAX_LIMIT,
     build_universal_cdf,
     fredholm_g2,
     gap_probability,
@@ -163,10 +167,14 @@ def _cmd_gap(args, parser) -> int:
         print("usage error: the series route requires s <= 1", file=sys.stderr)
         return USAGE_ERROR
     if args.method == "painleve":
-        import math
-
-        reach = (2.0 if args.beta == 4 else 1.0) * math.pi * args.s
-        traj = integrate_sigma(min(max(reach * 1.001, 50.0), 200.0))
+        # G_beta(s) reads the trajectory at t = pi*s, or 2*pi*s for beta=4.
+        span = 2.0 if args.beta == 4 else 1.0
+        if span * math.pi * args.s > T_MAX_LIMIT:
+            limit = f"{T_MAX_LIMIT / span:g}/pi = {T_MAX_LIMIT / (span * math.pi):.4f}"
+            raise ValueError(
+                f"--s must lie in (0, {limit}] for beta={args.beta}, got {args.s:g}"
+            )
+        traj = integrate_sigma(min(span * math.pi * args.s * 1.001, T_MAX_LIMIT))
         value = gap_probability(traj, args.beta, args.s)
     elif args.method == "fredholm":
         value = fredholm_g2(args.s, n=60)
@@ -178,13 +186,7 @@ def _cmd_gap(args, parser) -> int:
 
 def _cmd_sample(args) -> int:
     config = _config_from_args(args)
-    spec = EnsembleSpec(beta=args.beta, n=args.n, potential=config.potential)
-    spectra = [
-        sample_tridiagonal(
-            spec, SamplerState(seed=config.seed, stream=stream_id(args.n, draw))
-        )
-        for draw in range(args.draws)
-    ]
+    spectra = [_draw_spectrum(config, (args.n, draw))[0] for draw in range(args.draws)]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = dump_spectra(spectra, out / f"spectra_beta{args.beta}_n{args.n}.csv")

@@ -104,12 +104,11 @@ class EnsembleSpec:
 
 @dataclass
 class SamplerState:
-    """Reproducible randomness plus (for MCMC) the mutable chain state."""
+    """Reproducible randomness plus (for MCMC) the chain's acceptance counts
+    and warnings."""
 
     seed: int
     stream: int = 0
-    config: np.ndarray | None = None
-    step_sizes: np.ndarray | None = None
     accepted: int = 0
     proposed: int = 0
     warnings: list = field(default_factory=list)
@@ -243,8 +242,6 @@ def sample_mcmc(
     else:
         x = np.linspace(-1.0, 1.0, n)
     scales = np.full(n, 4.0 / n)
-    state.config = x
-    state.step_sizes = scales
     state.accepted = 0
     state.proposed = 0
     window_acc = np.zeros(n, dtype=int)

@@ -2,10 +2,12 @@
 
 A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
-the single result writer emits rows in task order, so reruns are byte
-identical regardless of worker count.  Every (size, draw) spectrum is drawn
-once: for a non-Gaussian potential the first min(32, draws) spectra of a size
-feed the density pilot and are then scored as that size's first rows.
+the single result writer appends each row in task order as it is scored, so
+reruns are byte identical regardless of worker count and a killed run keeps
+the rows before it.  Every (size, draw) spectrum is drawn once, by
+``_draw_spectrum``: for a non-Gaussian potential the first min(32, draws)
+spectra of a size feed the density pilot and are then scored as that size's
+first rows.  ``verify`` and ``identity`` share that pilot/window plan.
 Result CSVs are append-only with a per-row checksum.  One output directory
 holds one config: a run into a directory with any result file must carry the
 config digest of the manifest written before the first row; it then
@@ -38,10 +40,12 @@ from .ensembles import (
 )
 from .gaps import UniversalSpacingCDF, build_universal_cdf
 from .spacings import (
+    RescaledSpectrum,
     Window,
     alternating_identity_check,
     default_window,
     estimate_density,
+    gamma_cdf,
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
@@ -101,9 +105,6 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "potential", tuple(float(c) for c in self.potential)
             )
-
-    def spec(self, n: int) -> EnsembleSpec:
-        return EnsembleSpec(beta=self.beta, n=n, potential=self.potential)
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -199,11 +200,12 @@ def _checksum(payload: str) -> str:
 
 
 def _read_completed(path: Path) -> dict:
-    """Validated rows of an existing result file, keyed by (n, draw)."""
+    """Validated rows of an existing result file, keyed by (n, draw).  An
+    unterminated last line (a killed run's last row) counts as missing."""
     done = {}
     if not path.exists():
         return done
-    lines = path.read_text().splitlines()
+    lines = path.read_text().split("\n")[:-1]
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -279,10 +281,12 @@ def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
         ) from exc
 
 
-def _draw_spectrum(config: ExperimentConfig, n: int, draw: int):
+def _draw_spectrum(config: ExperimentConfig, task):
     """Spectrum of task (n, draw) and the health of its sampler:
-    ``(values, (acceptance rate or None, warnings))``."""
-    spec = config.spec(n)
+    ``(values, (acceptance rate or None, warnings))``.  Every spectrum that
+    ``verify`` and ``identity`` score and ``sample`` dumps is drawn here."""
+    n, draw = task
+    spec = EnsembleSpec(beta=config.beta, n=n, potential=config.potential)
     state = SamplerState(seed=config.seed, stream=stream_id(n, draw))
     if spec.is_gaussian:
         return sample_tridiagonal(spec, state), (None, ())
@@ -293,11 +297,34 @@ def _draw_spectrum(config: ExperimentConfig, n: int, draw: int):
     return last, (state.acceptance_rate, tuple(state.warnings))
 
 
-def _verify_row(config, n, draw, values, psi, nodes) -> str:
-    """Score one spectrum: localize it to the window of size n, compare its
+def _draw_pilots(config: ExperimentConfig, task_map, settled: dict) -> dict:
+    """Pilot spectra ``{(n, draw): (values, health)}``: the first
+    ``_pilot_count`` draws of every size whose psi is not settled."""
+    draws = range(_pilot_count(config))
+    tasks = [(n, draw) for n in config.sizes if n not in settled for draw in draws]
+    return dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
+
+
+def _windows(config: ExperimentConfig, settled: dict, pilots: dict) -> dict:
+    """Window per size, at its settled psi or else at the psi of its pilot.
+
+    Drawing the pilots and placing the windows are two steps, so that the
+    pilot's sampler health reaches the manifest also when its psi aborts.
+    """
+    windows = {}
+    for n in config.sizes:
+        pilot = [values for (m, _), (values, _) in pilots.items() if m == n]
+        psi = settled[n] if n in settled else _psi(config, n, pilot)
+        windows[n] = default_window(n, psi, config.window_a, config.window_delta_exponent)
+    return windows
+
+
+def _verify_row(config, windows, nodes, task, values) -> str:
+    """Score one spectrum: localize it to its size's window, compare its
     spacing distribution with the universal law at the nodes, and format the
     checksummed result row."""
-    window = default_window(n, psi, config.window_a, config.window_delta_exponent)
+    n, draw = task
+    window = windows[n]
     rs = rescale_localize(values, window)
     ecdf = sigma_cdf(rs)
     report = ks_node_distance(ecdf, nodes)
@@ -307,26 +334,87 @@ def _verify_row(config, n, draw, values, psi, nodes) -> str:
     return f"{payload},{_checksum(payload)}"
 
 
-def _draw_task(config, task):
+def _identity_points(windows, corrupt, task, values):
+    """Exact identity check of one spectrum: ``(checked points, violations)``.
+
+    With ``corrupt`` one eigenvalue of each size's first draw is displaced
+    between the spacing and span computations: the two sides then disagree
+    and the violation must be reported (negative control of the detection
+    path).
+    """
     n, draw = task
-    return _draw_spectrum(config, n, draw)
+    window = windows[n]
+    rs = rescale_localize(values, window)
+    if corrupt and draw == 0 and rs.inside.size >= 2:
+        # Displace one eigenvalue between the two computations so the
+        # span counts no longer describe the spacing counts.
+        tampered = rs.inside.copy()
+        tampered[0] -= 0.5 * (tampered[1] - tampered[0]) + 0.1
+        rs_bad = RescaledSpectrum(inside=tampered, window=window)
+        p = rs.inside.size
+        # At the first true spacing the tampered span counts miss
+        # exactly the widened gap, so the sides must disagree.
+        s0 = float(rs.inside[1] - rs.inside[0])
+        spacing_count = sigma_cdf(rs).count_at(s0)
+        alternating = sum(
+            (-1) ** k * gamma_cdf(k, rs_bad).count_at(s0) for k in range(2, p + 1)
+        )
+        points, found = 1, []
+        if alternating != spacing_count:
+            found.append((s0, "identity", "injected corruption"))
+    else:
+        report = alternating_identity_check(rs)
+        points, found = report.checked_points, report.violations
+    return points, [
+        {"n": n, "draw": draw, "jump": jump, "kind": kind, "detail": detail}
+        for jump, kind, detail in found
+    ]
 
 
-def _row_task(config, nodes, task):
-    n, draw, psi = task
-    values, health = _draw_spectrum(config, n, draw)
-    return _verify_row(config, n, draw, values, psi, nodes), health
+def _score_task(config, score, task):
+    values, health = _draw_spectrum(config, task)
+    return score(task, values), health
+
+
+def _scored(config, task_map, score, pilots: dict, tasks: list):
+    """``(task, score(task, values), health)`` for each task, lazily and in
+    task order: a spectrum the pilot drew is scored here, the pool draws and
+    scores the rest."""
+    rest = [task for task in tasks if task not in pilots]
+    # Chunks of up to 8 tasks, but never fewer chunks than workers.
+    chunksize = max(1, min(8, math.ceil(len(rest) / config.workers)))
+    pooled = task_map(partial(_score_task, config, score), rest, chunksize=chunksize)
+    for task in tasks:
+        if task in pilots:
+            values, health = pilots[task]
+            yield task, score(task, values), health
+        else:
+            result, health = next(pooled)
+            yield task, result, health
 
 
 @contextmanager
 def _task_map(workers: int):
-    """``map(fn, tasks, chunksize)`` for the run: in-process for one worker,
-    else through one process pool that serves every stage of the run."""
+    """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
+    order: in-process for one worker, else through one process pool that
+    serves every stage of the run."""
     if workers == 1:
-        yield lambda fn, tasks, chunksize=1: list(map(fn, tasks))
+        yield lambda fn, tasks, chunksize=1: map(fn, tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, tasks, chunksize=1: list(pool.map(fn, tasks, chunksize=chunksize))
+        yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
+
+
+@contextmanager
+def _open_results(path: Path):
+    """The result file, open for appending after its last complete line; a
+    file left without one starts again with the header."""
+    complete = path.read_bytes().rfind(b"\n") + 1 if path.exists() else 0
+    with path.open("a") as fh:
+        fh.truncate(complete)
+        if not complete:
+            fh.write(RESULT_HEADER + "\n")
+        yield fh
 
 
 def _record_health(manifest: RunManifest, health: dict) -> None:
@@ -385,61 +473,6 @@ def run_verify(
     return summary
 
 
-def _draw_rows(config, nodes, done: dict, recorded_psi: dict, manifest: RunManifest):
-    """Draw every spectrum the run still needs, once, and score it.
-
-    The pilot spectra (see ``_pilot_count``) give psi per size and are scored
-    here as rows; the pool draws and scores only the draws past the pilot.
-    A size whose psi an earlier run of this config recorded is settled: the
-    recorded psi stands, no pilot is drawn, and the pool draws every missing
-    row of that size, pilot draws included.
-    Psi and sampler health go into the manifest, also when the run aborts.
-    Returns psi per size and the new rows keyed by (n, draw).
-    """
-    pilots = _pilot_count(config)
-    settled = {n: recorded_psi[n] for n in config.sizes if n in recorded_psi}
-    health = {}
-    new_rows = {}
-    try:
-        with _task_map(config.workers) as task_map:
-            keys = [
-                (n, draw) for n in config.sizes if n not in settled for draw in range(pilots)
-            ]
-            spectra = {}
-            drawn = task_map(partial(_draw_task, config), keys)
-            for key, (values, draw_health) in zip(keys, drawn):
-                spectra[key] = values
-                health[key] = draw_health
-            psi_by_size = {
-                n: settled[n] if n in settled
-                else _psi(config, n, [spectra[(n, draw)] for draw in range(pilots)])
-                for n in config.sizes
-            }
-            manifest.psi = {str(n): psi for n, psi in psi_by_size.items()}
-            for (n, draw), values in spectra.items():
-                if (n, draw) not in done:
-                    new_rows[(n, draw)] = _verify_row(
-                        config, n, draw, values, psi_by_size[n], nodes
-                    )
-
-            tasks = [
-                (n, draw, psi_by_size[n])
-                for n in config.sizes
-                for draw in range(0 if n in settled else pilots, config.draws)
-                if (n, draw) not in done
-            ]
-            # Chunks of up to 8 tasks, but never fewer chunks than workers.
-            chunksize = max(1, min(8, math.ceil(len(tasks) / config.workers)))
-            for (n, draw, _), (row, draw_health) in zip(
-                tasks, task_map(partial(_row_task, config, nodes), tasks, chunksize)
-            ):
-                new_rows[(n, draw)] = row
-                health[(n, draw)] = draw_health
-    finally:
-        _record_health(manifest, health)
-    return psi_by_size, new_rows
-
-
 def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_psi) -> dict:
     if cdf is None:
         cdf = build_universal_cdf(
@@ -453,37 +486,38 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
     if done:
         manifest.warnings.append(f"resumed: {len(done)} rows already present")
 
-    psi_by_size, new_rows = _draw_rows(config, cdf.nodes, done, recorded_psi, manifest)
-
-    fresh = not result_path.exists()
-    with result_path.open("a") as fh:
-        if fresh:
-            fh.write(RESULT_HEADER + "\n")
-        for n in config.sizes:
-            for draw in range(config.draws):
-                key = (n, draw)
-                if key in new_rows:
-                    fh.write(new_rows[key] + "\n")
+    # A size whose psi an earlier run of this config recorded is settled: the
+    # recorded psi stands, no pilot is drawn, and the pool draws every
+    # missing row of that size, pilot draws included.
+    settled = {n: recorded_psi[n] for n in config.sizes if n in recorded_psi}
+    tasks = [(n, d) for n in config.sizes for d in range(config.draws) if (n, d) not in done]
+    rows, health = dict(done), {}
+    try:
+        with _task_map(config.workers) as task_map:
+            pilots = _draw_pilots(config, task_map, settled)
+            health.update((task, h) for task, (_, h) in pilots.items())
+            windows = _windows(config, settled, pilots)
+            manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
+            score = partial(_verify_row, config, windows, cdf.nodes)
+            with _open_results(result_path) as fh:
+                for task, row, draw_health in _scored(config, task_map, score, pilots, tasks):
+                    fh.write(row + "\n")
                     fh.flush()
+                    rows[task], health[task] = row, draw_health
+    finally:
+        _record_health(manifest, health)
 
-    all_rows = _read_completed(result_path)
     per_size = {}
     for n in config.sizes:
         bounds = np.array(
-            [
-                float(all_rows[(n, d)].split(",")[8])
-                for d in range(config.draws)
-                if (n, d) in all_rows
-            ]
+            [float(rows[(n, d)].split(",")[8]) for d in range(config.draws) if (n, d) in rows]
         )
         mean, ci = _mean_ci(bounds)
         per_size[str(n)] = {
             "draws": int(bounds.size),
             "mean_bound": mean,
             "ci95": ci,
-            "window_size": default_window(
-                n, psi_by_size[n], config.window_a, config.window_delta_exponent
-            ).size,
+            "window_size": windows[n].size,
         }
     means = [per_size[str(n)]["mean_bound"] for n in config.sizes]
     summary = {
@@ -504,58 +538,16 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
 def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
     """Exact combinatorial identity checks over all configured draws.
 
-    With ``corrupt=True`` one eigenvalue is displaced between the spacing
-    and span computations of the first draw: the two sides then disagree and
-    the violation must be reported (negative control of the detection path).
+    The spectra and windows are those ``verify`` scores, drawn by the same
+    pilot/window plan and task map.  ``corrupt=True`` is the negative control
+    of the detection path (see ``_identity_points``).
     """
-    from .spacings import RescaledSpectrum, gamma_cdf
-
-    violations = []
-    checked = 0
-    pilots = _pilot_count(config)
-    for n in config.sizes:
-        pilot = [_draw_spectrum(config, n, draw)[0] for draw in range(pilots)]
-        window = default_window(
-            n, _psi(config, n, pilot), config.window_a, config.window_delta_exponent
-        )
-        for draw in range(config.draws):
-            values = pilot[draw] if draw < pilots else _draw_spectrum(config, n, draw)[0]
-            rs = rescale_localize(values, window)
-            if corrupt and draw == 0 and rs.inside.size >= 2:
-                # Displace one eigenvalue between the two computations so the
-                # span counts no longer describe the spacing counts.
-                tampered = rs.inside.copy()
-                tampered[0] -= 0.5 * (tampered[1] - tampered[0]) + 0.1
-                rs_bad = RescaledSpectrum(inside=tampered, window=window)
-                p = rs.inside.size
-                # At the first true spacing the tampered span counts miss
-                # exactly the widened gap, so the sides must disagree.
-                s0 = float(rs.inside[1] - rs.inside[0])
-                spacing_count = sigma_cdf(rs).count_at(s0)
-                alternating = sum(
-                    (-1) ** k * gamma_cdf(k, rs_bad).count_at(s0)
-                    for k in range(2, p + 1)
-                )
-                checked += 1
-                if alternating != spacing_count:
-                    violations.append(
-                        {
-                            "n": n,
-                            "draw": draw,
-                            "jump": s0,
-                            "kind": "identity",
-                            "detail": "injected corruption",
-                        }
-                    )
-                continue
-            report = alternating_identity_check(rs)
-            checked += report.checked_points
-            for jump, kind, detail in report.violations:
-                violations.append(
-                    {"n": n, "draw": draw, "jump": jump, "kind": kind, "detail": detail}
-                )
-    return {
-        "checked_jump_points": checked,
-        "violations": violations,
-        "ok": not violations,
-    }
+    checked, violations = 0, []
+    tasks = [(n, draw) for n in config.sizes for draw in range(config.draws)]
+    with _task_map(config.workers) as task_map:
+        pilots = _draw_pilots(config, task_map, {})
+        score = partial(_identity_points, _windows(config, {}, pilots), corrupt)
+        for _, (points, found), _ in _scored(config, task_map, score, pilots, tasks):
+            checked += points
+            violations += found
+    return {"checked_jump_points": checked, "violations": violations, "ok": not violations}

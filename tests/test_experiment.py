@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -125,6 +126,47 @@ class TestVerifyRun:
         assert path.read_text() == full
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert any("resumed" in w for w in manifest["warnings"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_run_keeps_rows_and_resumes(self, tmp_path, tiny_cdf, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched sampler reaches pool workers only through fork")
+        fresh = tmp_path / "fresh"
+        run_verify(tiny_config(fresh, draws=6), cdf=tiny_cdf)
+        rows = (fresh / "results_beta2.csv").read_bytes()
+        summary = (fresh / "summary.json").read_bytes()
+        real = experiment.sample_tridiagonal
+
+        def killed(spec, state):
+            if state.stream == stream_id(64, 3):
+                raise RuntimeError("killed at (64, 3)")
+            return real(spec, state)
+
+        out = tmp_path / "run"
+        cfg = tiny_config(out, draws=6, workers=workers)
+        path = out / "results_beta2.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "sample_tridiagonal", killed)
+            with pytest.raises(RuntimeError, match="killed"):
+                run_verify(cfg, cdf=tiny_cdf)
+        # Rows reach the file in task order as they are scored: one worker
+        # keeps all six rows of n=32 and the first three of n=64.
+        kept = path.read_bytes()
+        assert rows.startswith(kept)
+        assert kept.count(b"\n") >= 1 + 6
+        if workers == 1:
+            assert kept.count(b"\n") == 1 + 9
+        run_verify(cfg, cdf=tiny_cdf)
+        assert path.read_bytes() == rows
+        assert (out / "summary.json").read_bytes() == summary
+        # A row cut mid-line, a dropped final newline and half a header each
+        # count as missing, and the resume restores the fresh run's bytes.
+        header = rows.index(b"\n")
+        for cut in (rows[:-7], rows[:-1], rows[: header // 2]):
+            path.write_bytes(cut)
+            run_verify(cfg, cdf=tiny_cdf)
+            assert path.read_bytes() == rows
+            assert (out / "summary.json").read_bytes() == summary
 
     def test_corrupt_row_detected(self, tmp_path, tiny_cdf):
         cfg = tiny_config(tmp_path)
@@ -256,6 +298,7 @@ class TestIdentityRun:
         report = run_identity(tiny_config(tmp_path, sizes=(64,), draws=20))
         assert report["ok"]
         assert report["checked_jump_points"] > 0
+        assert run_identity(tiny_config(tmp_path, sizes=(64,), draws=20, workers=2)) == report
 
     def test_corrupt_mode_reports_violation(self, tmp_path):
         report = run_identity(tiny_config(tmp_path, sizes=(64,), draws=3), corrupt=True)
@@ -264,6 +307,10 @@ class TestIdentityRun:
 
 
     def test_mcmc_chain_drawn_once(self, tmp_path, monkeypatch):
+        # 34 draws: 32 pilot spectra are checked in-process, the pool draws
+        # and checks the last two, and the report does not depend on workers.
+        cfg = dict(sizes=(8,), draws=34, potential=QUARTIC)
+        pooled = run_identity(tiny_config(tmp_path, workers=2, **cfg))
         streams = Counter()
         real = experiment.sample_mcmc
 
@@ -272,10 +319,10 @@ class TestIdentityRun:
             return real(spec, state, steps, burn_in, thin)
 
         monkeypatch.setattr(experiment, "sample_mcmc", counted)
-        cfg = tiny_config(tmp_path, sizes=(8,), draws=33, potential=QUARTIC)
-        report = run_identity(cfg)
+        report = run_identity(tiny_config(tmp_path, **cfg))
         assert report["ok"]
-        assert streams == Counter(stream_id(8, d) for d in range(33))
+        assert streams == Counter(stream_id(8, d) for d in range(34))
+        assert report == pooled
 
 
 class TestCli:
@@ -359,11 +406,17 @@ class TestCli:
         assert main(["gap", "--beta", "2", "--s", "2", "--method", "series"]) == 2
 
     def test_gap_past_trajectory_fails(self, capsys):
-        # pi * 70 lies beyond the largest trajectory (t <= 200).
-        assert main(["gap", "--beta", "2", "--s", "70"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: trajectory covers")
+        # G_beta(s) needs the trajectory at t = pi*s (2*pi*s for beta=4), which
+        # reaches t = 200; the message names --s, the value the user set.
+        assert main(["gap", "--beta", "4", "--s", "31.8"]) == 0
+        capsys.readouterr()
+        for beta, s, limit in (("2", "70", "200/pi = 63.6620"), ("4", "40", "100/pi = 31.8310")):
+            assert main(["gap", "--beta", beta, "--s", s]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --s must lie in (0, {limit}] for beta={beta}, got {s}\n"
+            )
 
     def test_verify_refuses_other_seed(self, tmp_path, capsys):
         # A seed-1 run into a seed-0 directory used to reuse every seed-0 row.
@@ -421,6 +474,22 @@ class TestCli:
         lines = path.read_text().splitlines()
         assert lines[0] == "draw_id,index,eigenvalue"
         assert len(lines) == 1 + 2 * 16
+
+    def test_sample_dumps_the_verify_spectra(self, tmp_path, capsys):
+        # A polynomial potential dumps the MCMC spectra that verify scores.
+        cfg = tmp_path / "q.json"
+        cfg.write_text(json.dumps({"potential": list(QUARTIC)}))
+        rc = main(["sample", "--beta", "1", "--n", "8", "--draws", "2", "--seed", "3",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        path = Path(capsys.readouterr().out.strip())
+        config = ExperimentConfig(beta=1, potential=QUARTIC, seed=3)
+        expected = ["draw_id,index,eigenvalue"] + [
+            f"{draw},{i},{format(float(x), '.12g')}"
+            for draw in range(2)
+            for i, x in enumerate(experiment._draw_spectrum(config, (8, draw))[0])
+        ]
+        assert path.read_text().splitlines() == expected
 
     def test_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPACINGLAB_OUT", str(tmp_path / "envout"))
