@@ -7,9 +7,11 @@ Subcommands:
   gap        print one gap probability (painleve, fredholm or series route)
   sample     draw spectra and dump them as CSV for audit
 
-Configuration precedence: command-line flags > SPACINGLAB_* environment
-variables > --config JSON file > built-in defaults.  Exit codes: 0 success,
-1 numeric failure, 2 usage error.
+verify, identity and sample share one set of run flags and build their
+config one way.  Precedence: flags the user typed > SPACINGLAB_* environment
+variables > --config JSON file > built-in defaults.  universal reads
+SPACINGLAB_OUT when --out is not given.  Exit codes: 0 success, 1 numeric
+failure or bad config, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .ensembles import dump_spectra
 from .experiment import (
-    ExperimentConfig, _draw_spectrum, load_config, run_identity, run_verify
+    ExperimentConfig,
+    _draw_spectrum,
+    _task_map,
+    config_hash,
+    load_config,
+    run_identity,
+    run_verify,
 )
 from .gaps import (
     T_MAX_LIMIT,
@@ -43,11 +52,16 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 1
 
 
-def _env(name: str, cast, default=None):
+# The run flags of verify, identity and sample as (flag, config field, type of
+# its SPACINGLAB_<FLAG> variable, or None when it has none); --config is read
+# from SPACINGLAB_CONFIG too.
+RUN_FLAGS = (("seed", "seed", int), ("out", "out_dir", str), ("workers", "workers", int),
+             ("beta", "beta", None), ("sizes", "sizes", None), ("draws", "draws", None))
+
+
+def _env(name: str, cast):
     raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return default
-    return cast(raw)
+    return None if raw is None else cast(raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,79 +72,66 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="experiment config JSON")
-    common.add_argument("--seed", type=int, help="base random seed (u64)")
-    common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--workers", type=int, help="worker process count")
+    # Every default is None: a config-file value yields only to a flag the
+    # user typed or to its environment variable.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", type=Path, help="experiment config JSON")
+    run.add_argument("--seed", type=int, help="base random seed (u64)")
+    run.add_argument("--out", help="output directory")
+    run.add_argument("--workers", type=int, help="worker process count")
+    run.add_argument("--beta", type=int, choices=(1, 2, 4))
+    run.add_argument("--sizes", type=int, nargs="+", help="matrix sizes (each >= 8)")
+    run.add_argument("--draws", type=int, help="draws per size")
 
-    p = sub.add_parser("universal", parents=[common], help="tabulate F_beta")
+    p = sub.add_parser("universal", help="tabulate F_beta")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), required=True)
     p.add_argument("--s-max", type=float, default=10.0)
     p.add_argument("--nodes", type=int, default=100, help="quantile node count M")
+    p.add_argument("--out", help="output directory")
+    p.set_defaults(func=_cmd_universal)
 
-    p = sub.add_parser("verify", parents=[common], help="run the main experiment")
-    p.add_argument("--beta", type=int, choices=(1, 2, 4))
-    p.add_argument("--sizes", type=int, nargs="+")
-    p.add_argument("--draws", type=int)
+    p = sub.add_parser("verify", parents=[run], help="run the main experiment")
+    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("identity", parents=[common], help="exact identity checks")
-    p.add_argument("--beta", type=int, choices=(1, 2, 4))
-    p.add_argument("--sizes", type=int, nargs="+")
-    p.add_argument("--draws", type=int)
+    p = sub.add_parser("identity", parents=[run], help="exact identity checks")
     p.add_argument(
         "--corrupt",
         action="store_true",
         help="test mode: inject a corrupted spectrum to exercise the detector",
     )
+    p.set_defaults(func=_cmd_identity)
 
-    p = sub.add_parser("gap", parents=[common], help="print one gap probability")
+    p = sub.add_parser("gap", help="print one gap probability")
     p.add_argument("--beta", type=int, choices=(1, 2, 4), required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument(
         "--method", choices=("painleve", "fredholm", "series"), default="painleve"
     )
+    p.set_defaults(func=partial(_cmd_gap, parser=p))
 
-    p = sub.add_parser("sample", parents=[common], help="dump sampled spectra")
-    p.add_argument("--beta", type=int, choices=(1, 2, 4), default=2)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--draws", type=int, default=1)
+    p = sub.add_parser("sample", parents=[run], help="dump sampled spectra")
+    p.set_defaults(func=_cmd_sample)
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file (or built-in defaults), overridden by environment
+    variables and then by the flags the user typed."""
     overrides = {}
-    env_seed = _env("seed", int)
-    env_out = _env("out", str)
-    env_workers = _env("workers", int)
-    if env_seed is not None:
-        overrides["seed"] = env_seed
-    if env_out is not None:
-        overrides["out_dir"] = env_out
-    if env_workers is not None:
-        overrides["workers"] = env_workers
-    for key, attr in (
-        ("seed", "seed"),
-        ("out", "out_dir"),
-        ("workers", "workers"),
-        ("beta", "beta"),
-        ("sizes", "sizes"),
-        ("draws", "draws"),
-    ):
-        value = getattr(args, key, None)
+    for flag, field, env_cast in RUN_FLAGS:
+        value = getattr(args, flag)
+        if value is None and env_cast is not None:
+            value = _env(flag, env_cast)
         if value is not None:
-            overrides[attr] = value if key != "out" else str(value)
-    config_path = args.config or _env("config", Path)
-    return load_config(config_path, overrides)
+            overrides[field] = value
+    return load_config(args.config or _env("config", Path), overrides)
 
 
 def _cmd_universal(args) -> int:
     out = Path(args.out or _env("out", str) or ".")
     cdf = build_universal_cdf(args.beta, s_max=args.s_max, m_nodes=args.nodes)
-    cdf_path = write_cdf_csv(cdf, out)
-    nodes_path = write_nodes_csv(cdf, out)
-    print(cdf_path)
-    print(nodes_path)
+    print(write_cdf_csv(cdf, out))
+    print(write_nodes_csv(cdf, out))
     return 0
 
 
@@ -144,6 +145,10 @@ def _cmd_verify(args) -> int:
 def _cmd_identity(args) -> int:
     config = _config_from_args(args)
     report = run_identity(config, corrupt=args.corrupt)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = {**report, "config_digest": config_hash(config)}
+    (out / "identity.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     for v in report["violations"]:
         print(
             f"violation: n={v['n']} draw={v['draw']} jump={v['jump']:.12g} "
@@ -186,33 +191,23 @@ def _cmd_gap(args, parser) -> int:
 
 def _cmd_sample(args) -> int:
     config = _config_from_args(args)
-    spectra = [_draw_spectrum(config, (args.n, draw))[0] for draw in range(args.draws)]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = dump_spectra(spectra, out / f"spectra_beta{args.beta}_n{args.n}.csv")
-    print(path)
+    with _task_map(config.workers) as task_map:
+        for n in config.sizes:
+            tasks = [(n, draw) for draw in range(config.draws)]
+            spectra = [values for values, _ in task_map(partial(_draw_spectrum, config), tasks)]
+            print(dump_spectra(spectra, out / f"spectra_beta{config.beta}_n{n}.csv"))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "universal":
-            return _cmd_universal(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "identity":
-            return _cmd_identity(args)
-        if args.command == "gap":
-            return _cmd_gap(args, parser)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, RuntimeError) as exc:
+        return args.func(args)
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    return 0
 
 
 if __name__ == "__main__":

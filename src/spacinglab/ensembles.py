@@ -77,8 +77,14 @@ class EnsembleSpec:
         if self.n < 1:
             raise ValueError("matrix size must be at least 1")
         if not self.is_gaussian:
-            coeffs = np.asarray(self.potential, dtype=float)
-            if coeffs.ndim != 1 or coeffs.size < 3:
+            coeffs = np.asarray(self.potential)
+            real = coeffs.dtype.kind in "iuf" and np.all(np.isfinite(coeffs))
+            if not real or coeffs.ndim != 1:
+                raise ValueError(
+                    f"potential must be {GAUSSIAN!r} or real polynomial coefficients, "
+                    f"got {self.potential!r}"
+                )
+            if coeffs.size < 3:
                 raise ValueError("polynomial potential needs degree >= 2")
             degree = coeffs.size - 1
             if degree % 2:

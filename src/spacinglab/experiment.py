@@ -25,7 +25,7 @@ from functools import partial
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -84,27 +84,38 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.beta not in (1, 2, 4):
-            raise ValueError(f"beta must be 1, 2 or 4, got {self.beta}")
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 8 for n in sizes):
-            raise ValueError("all matrix sizes must be at least 8")
-        object.__setattr__(self, "sizes", sizes)
-        if not isinstance(self.draws, Integral) or not 1 <= self.draws < DRAWS_LIMIT:
+        # Values are checked, never coerced: a coerced value (16.5 -> 16)
+        # would run another config under this one's digest.
+        sizes = list(self.sizes) if isinstance(self.sizes, (list, tuple)) else []
+        if not sizes:
+            raise ValueError(f"sizes must be a non-empty list, got {self.sizes!r}")
+        for name, value, least, bound in (
+            ("beta", self.beta, 1, 5),
+            *(("each size", n, 8, math.inf) for n in sizes),
             # stream_id packs the draw into the low 20 bits.
-            raise ValueError(f"draws must be an integer in [1, {DRAWS_LIMIT})")
-        # Philox truncates a fractional seed, so 1.5 would replay seed 1
-        # under another digest.
-        if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.node_count < 2:
-            raise ValueError("node count must be at least 2")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
-        if not isinstance(self.potential, str):
-            object.__setattr__(
-                self, "potential", tuple(float(c) for c in self.potential)
-            )
+            ("draws", self.draws, 1, DRAWS_LIMIT),
+            # Philox truncates a fractional seed, so 1.5 would replay seed 1
+            # under another digest.
+            ("seed", self.seed, 0, 2**64),
+            ("node_count", self.node_count, 2, math.inf),
+            ("workers", self.workers, 1, math.inf),
+        ):
+            if not isinstance(value, Integral) or not least <= value < bound:
+                raise ValueError(f"{name} must be an integer in [{least}, {bound}), got {value!r}")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        # delta = n**exponent must shrink while n*delta grows.
+        for name, lo, hi in (
+            ("window_a", -math.inf, math.inf),
+            ("window_delta_exponent", -1, 0),
+            ("s_max", -math.inf, math.inf),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not lo < value < hi:
+                raise ValueError(f"{name} must be a real number in ({lo}, {hi}), got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        spec = EnsembleSpec(beta=self.beta, n=sizes[0], potential=self.potential)
+        object.__setattr__(self, "potential", spec.potential)
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -131,6 +142,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a config JSON file and apply overrides (CLI flags beat env vars,
     both beat the file)."""
     data = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
     data.update(overrides or {})
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(data) - known

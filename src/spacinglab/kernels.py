@@ -8,10 +8,10 @@ functions are determinants (beta=2) or Pfaffians (beta=1,4) built from these
 entries; a brute-force cyclic-product expansion of the Pfaffian form is kept
 as an independent oracle.
 
-The block builders, the Pfaffian and corr_fn take a leading batch axis: a
-stack of point sets of shape (..., k) is evaluated in one vectorised pass,
-which is how the correlation series of the gaps module integrates W_k over
-thousands of quadrature points at once.
+The one kernel-block builder (the skew block), the Pfaffian and corr_fn
+take a leading batch axis: a stack of point sets of shape (..., k) is
+evaluated in one vectorised pass, which is how the correlation series of the
+gaps module integrates W_k over thousands of quadrature points at once.
 
 All functions here are pure; there is no shared mutable state.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "corr_fn",
     "corr_fn_expansion",
     "matrix_kernel",
-    "matrix_kernel_block",
     "pfaffian",
     "regularized_antideriv4",
     "sinc_antideriv",
@@ -188,46 +187,30 @@ def pfaffian(a: np.ndarray):
     return pf.reshape(batch)
 
 
-def matrix_kernel_block(beta: int, points) -> np.ndarray:
-    """Assemble the 2k x 2k block matrix of kernel evaluations at all pairs.
+def skew_kernel_block(beta: int, points) -> np.ndarray:
+    """The skew matrix whose Pfaffian is the beta=1, 4 correlation function.
 
-    Block (i, j) is the 2x2 kernel at (points[i], points[j]); multiplying by
-    the block-diagonal symplectic unit on the right yields the skew matrix
-    whose Pfaffian is the k-point correlation function.  Points of shape
-    (..., k) give blocks of shape (..., 2k, 2k).
+    Block (i, j) is [[-d, s], [-s, i]] for the kernel entries (s, d, i) at
+    (points[i], points[j]): the 2x2 matrix kernel [[s, d], [i, s]] times the
+    symplectic unit [[0, 1], [-1, 0]] on the right.  Points of shape (..., k)
+    give matrices of shape (..., 2k, 2k).
     """
     pts = np.asarray(points, dtype=float)
     k = pts.shape[-1]
     s, d, i = matrix_kernel(beta, pts[..., :, None], pts[..., None, :])
     m = np.empty(pts.shape[:-1] + (2 * k, 2 * k))
-    m[..., 0::2, 0::2] = s
-    m[..., 0::2, 1::2] = d
-    m[..., 1::2, 0::2] = i
-    m[..., 1::2, 1::2] = s
+    m[..., 0::2, 0::2] = -d
+    m[..., 0::2, 1::2] = s
+    m[..., 1::2, 0::2] = -s
+    m[..., 1::2, 1::2] = i
     return m
-
-
-def skew_kernel_block(beta: int, points) -> np.ndarray:
-    """The skew matrix whose Pfaffian is the beta=1, 4 correlation function.
-
-    The kernel block of ``matrix_kernel_block`` times the block-diagonal
-    symplectic unit on the right; points of shape (..., k) give matrices of
-    shape (..., 2k, 2k).
-    """
-    m = matrix_kernel_block(beta, points)
-    k = m.shape[-1] // 2
-    j = np.zeros((2 * k, 2 * k))
-    j[0::2, 1::2] = np.eye(k)
-    j[1::2, 0::2] = -np.eye(k)
-    return m @ j
 
 
 def corr_fn(beta: int, points):
     """Limiting k-point bulk correlation function at the given rescaled points.
 
     beta=2 evaluates the determinant of the sine-kernel Gram matrix; beta=1
-    and beta=4 evaluate the Pfaffian of the 2k x 2k kernel block matrix times
-    the block-diagonal symplectic unit.  A point set of shape (k,) gives a
+    and beta=4 evaluate the Pfaffian of the 2k x 2k skew kernel block.  A point set of shape (k,) gives a
     float; a batch of shape (..., k) gives an array of shape (...).
     """
     pts = np.asarray(points, dtype=float)

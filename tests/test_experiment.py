@@ -453,33 +453,43 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_identity_exit_codes(self, tmp_path, capsys):
-        ok = main(
-            ["identity", "--sizes", "64", "--draws", "5", "--seed", "0",
-             "--out", str(tmp_path)]
-        )
-        assert ok == 0
-        bad = main(
-            ["identity", "--sizes", "64", "--draws", "2", "--seed", "0",
-             "--out", str(tmp_path), "--corrupt"]
-        )
-        assert bad == 1
+        # identity --out used to write nothing; its report is now identity.json,
+        # the same bytes at any worker count, and written on a violation too.
+        args = ["identity", "--sizes", "64", "--draws", "5", "--seed", "0"]
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            reports.append((out / "identity.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["config_digest"] == config_hash(ExperimentConfig(sizes=(64,), draws=5))
+        assert report["ok"] and report["checked_jump_points"] > 0
+        capsys.readouterr()
+        assert main(args + ["--corrupt", "--out", str(tmp_path / "c")]) == 1
+        assert "violation:" in capsys.readouterr().err
+        assert not json.loads((tmp_path / "c" / "identity.json").read_text())["ok"]
 
     def test_sample_dump(self, tmp_path, capsys):
-        rc = main(
-            ["sample", "--beta", "2", "--n", "16", "--draws", "2",
-             "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        path = Path(capsys.readouterr().out.strip())
-        lines = path.read_text().splitlines()
+        dumps = []
+        for workers in ("1", "2"):
+            rc = main(
+                ["sample", "--beta", "2", "--sizes", "16", "--draws", "2",
+                 "--workers", workers, "--out", str(tmp_path / workers)]
+            )
+            assert rc == 0
+            path = Path(capsys.readouterr().out.strip())
+            dumps.append(path.read_bytes())
+        lines = dumps[0].decode().splitlines()
         assert lines[0] == "draw_id,index,eigenvalue"
         assert len(lines) == 1 + 2 * 16
+        assert dumps[1] == dumps[0]
 
     def test_sample_dumps_the_verify_spectra(self, tmp_path, capsys):
         # A polynomial potential dumps the MCMC spectra that verify scores.
         cfg = tmp_path / "q.json"
         cfg.write_text(json.dumps({"potential": list(QUARTIC)}))
-        rc = main(["sample", "--beta", "1", "--n", "8", "--draws", "2", "--seed", "3",
+        rc = main(["sample", "--beta", "1", "--sizes", "8", "--draws", "2", "--seed", "3",
                    "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         path = Path(capsys.readouterr().out.strip())
@@ -493,9 +503,59 @@ class TestCli:
 
     def test_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPACINGLAB_OUT", str(tmp_path / "envout"))
-        rc = main(["sample", "--beta", "2", "--n", "8", "--draws", "1"])
+        rc = main(["sample", "--beta", "2", "--sizes", "8", "--draws", "1"])
         assert rc == 0
         assert (tmp_path / "envout" / "spectra_beta2_n8.csv").exists()
+
+    def test_sample_reads_the_config_file(self, tmp_path, capsys):
+        # The parser's own --beta 2 and --draws 1 used to beat the file.
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"beta": 1, "draws": 3, "sizes": [8]}))
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        path = Path(capsys.readouterr().out.strip())
+        assert path == tmp_path / "a" / "spectra_beta1_n8.csv"
+        draws = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert Counter(draws) == {"0": 8, "1": 8, "2": 8}
+        # A typed flag still beats the file.
+        assert main(["sample", "--config", str(cfg), "--draws", "1",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert len((tmp_path / "b" / "spectra_beta1_n8.csv").read_text().splitlines()) == 9
+
+    def test_flag_beats_env_beats_file(self, tmp_path, monkeypatch):
+        from spacinglab.cli import _build_parser, _config_from_args
+
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"seed": 1, "workers": 2, "draws": 3}))
+        monkeypatch.setenv("SPACINGLAB_CONFIG", str(cfg))
+        monkeypatch.setenv("SPACINGLAB_SEED", "5")
+        args = _build_parser().parse_args(["verify", "--workers", "1"])
+        config = _config_from_args(args)
+        assert (config.seed, config.workers, config.draws) == (5, 1, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["universal", "--beta", "2", "--config", "x"], ["gap", "--beta", "2", "--s", "1",
+         "--seed", "1"], ["gap", "--beta", "2", "--s", "1", "--out", "d"]],
+    )
+    def test_unread_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"workers": 1.5}, {"node_count": "5"}, {"s_max": "10"}, {"window_a": "0"},
+         {"window_delta_exponent": "x"}, {"window_delta_exponent": 0.5},
+         {"sizes": [16.5]}, {"sizes": 16}, {"potential": "quartic"}, {"beta": 1.0}],
+    )
+    def test_bad_config_fails_before_writing(self, tmp_path, capsys, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(field))
+        out = tmp_path / "d"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_verify_smoke(self, tmp_path, capsys):
         rc = main(
