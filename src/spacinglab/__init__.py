@@ -52,7 +52,6 @@ from .spacings import (
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
-    total_mass_check,
     variance_diagnostic,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "sigma_cdf",
     "sine_kernel",
     "tail_fit",
-    "total_mass_check",
     "universal_cdf",
     "variance_diagnostic",
 ]

@@ -163,8 +163,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_gap(args, parser) -> int:
-    if args.s <= 0:
-        parser.error("--s must be positive")
+    if not 0 < args.s < math.inf:
+        parser.error(f"--s must be finite and positive, got {args.s:g}")
     if args.method == "fredholm" and args.beta != 2:
         print("usage error: the fredholm route exists for beta=2 only", file=sys.stderr)
         return USAGE_ERROR

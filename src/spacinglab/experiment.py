@@ -4,7 +4,8 @@ A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
 the single result writer appends each row in task order as it is scored, so
 reruns are byte identical regardless of worker count and a killed run keeps
-the rows before it.  Every (size, draw) spectrum is drawn once, by
+the rows before it; a resume that fills a hole rewrites the file in task
+order.  Every (size, draw) spectrum is drawn once, by
 ``_draw_spectrum``: for a non-Gaussian potential the first min(32, draws)
 spectra of a size feed the density pilot and are then scored as that size's
 first rows.  ``verify`` and ``identity`` share that pilot/window plan.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -45,7 +47,6 @@ from .spacings import (
     alternating_identity_check,
     default_window,
     estimate_density,
-    gamma_cdf,
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
@@ -350,37 +351,23 @@ def _verify_row(config, windows, nodes, task, values) -> str:
 def _identity_points(windows, corrupt, task, values):
     """Exact identity check of one spectrum: ``(checked points, violations)``.
 
-    With ``corrupt`` one eigenvalue of each size's first draw is displaced
-    between the spacing and span computations: the two sides then disagree
-    and the violation must be reported (negative control of the detection
-    path).
+    The spacing side is the ``sigma_cdf`` count that ``verify`` scores.  With
+    ``corrupt`` the span side is counted on a copy whose first eigenvalue is
+    displaced, so the check must report a violation at the first true
+    spacing (negative control of the detector); a window with fewer than two
+    eigenvalues has nothing to displace.
     """
     n, draw = task
-    window = windows[n]
-    rs = rescale_localize(values, window)
-    if corrupt and draw == 0 and rs.inside.size >= 2:
-        # Displace one eigenvalue between the two computations so the
-        # span counts no longer describe the spacing counts.
+    rs = rescale_localize(values, windows[n])
+    spans = rs
+    if corrupt and rs.inside.size >= 2:
         tampered = rs.inside.copy()
         tampered[0] -= 0.5 * (tampered[1] - tampered[0]) + 0.1
-        rs_bad = RescaledSpectrum(inside=tampered, window=window)
-        p = rs.inside.size
-        # At the first true spacing the tampered span counts miss
-        # exactly the widened gap, so the sides must disagree.
-        s0 = float(rs.inside[1] - rs.inside[0])
-        spacing_count = sigma_cdf(rs).count_at(s0)
-        alternating = sum(
-            (-1) ** k * gamma_cdf(k, rs_bad).count_at(s0) for k in range(2, p + 1)
-        )
-        points, found = 1, []
-        if alternating != spacing_count:
-            found.append((s0, "identity", "injected corruption"))
-    else:
-        report = alternating_identity_check(rs)
-        points, found = report.checked_points, report.violations
-    return points, [
+        spans = RescaledSpectrum(inside=tampered, window=rs.window)
+    report = alternating_identity_check(sigma_cdf(rs), spans)
+    return report.checked_points, [
         {"n": n, "draw": draw, "jump": jump, "kind": kind, "detail": detail}
-        for jump, kind, detail in found
+        for jump, kind, detail in report.violations
     ]
 
 
@@ -519,6 +506,13 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
                     rows[task], health[task] = row, draw_health
     finally:
         _record_health(manifest, health)
+    # A resume that filled a hole appended rows after later ones: rewrite
+    # the file in task order, so it equals a fresh run's.
+    order = [(n, d) for n in config.sizes for d in range(config.draws) if (n, d) in rows]
+    if list(rows) != order:
+        tmp = result_path.with_name(result_path.name + ".tmp")
+        tmp.write_text(RESULT_HEADER + "\n" + "".join(rows[task] + "\n" for task in order))
+        os.replace(tmp, result_path)
 
     per_size = {}
     for n in config.sizes:
@@ -553,7 +547,8 @@ def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
 
     The spectra and windows are those ``verify`` scores, drawn by the same
     pilot/window plan and task map.  ``corrupt=True`` is the negative control
-    of the detection path (see ``_identity_points``).
+    of the detector (see ``_identity_points``); it raises when no window
+    could be corrupted, since a control that found nothing shows nothing.
     """
     checked, violations = 0, []
     tasks = [(n, draw) for n in config.sizes for draw in range(config.draws)]
@@ -563,4 +558,8 @@ def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
         for _, (points, found), _ in _scored(config, task_map, score, pilots, tasks):
             checked += points
             violations += found
+    if corrupt and not violations:
+        raise RuntimeError(
+            "nothing could be corrupted: no window holds two eigenvalues to displace"
+        )
     return {"checked_jump_points": checked, "violations": violations, "ok": not violations}

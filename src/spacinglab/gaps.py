@@ -396,8 +396,8 @@ def build_universal_cdf(
 
 def gap_probability(traj: SigmaTrajectory, beta: int, s: float) -> float:
     """Gap probability G_beta(s) straight from the trajectory (no tabulation)."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
+    if not 0 <= s < np.inf:
+        raise ValueError(f"s must be finite and non-negative, got {s}")
     return float(_gap_and_slope(traj, beta, s)[0])
 
 
@@ -410,8 +410,8 @@ def fredholm_g2(s: float, n: int = 40) -> float:
     in n because the kernel is entire.  Entirely independent of the
     Painleve route.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < np.inf:
+        raise ValueError(f"s must be finite and positive, got {s}")
     if not 4 <= n <= 400:
         raise ValueError("quadrature order must lie in [4, 400]")
     x, w = np.polynomial.legendre.leggauss(n)

@@ -24,7 +24,6 @@ eigenvalues are zero spacings and count normally.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "ks_node_distance",
     "rescale_localize",
     "sigma_cdf",
-    "total_mass_check",
     "variance_diagnostic",
 ]
 
@@ -155,9 +153,6 @@ class EmpiricalSpacingCDF:
         counts = np.searchsorted(self.jumps, s, side="right")
         return counts / self.window_size
 
-    def count_at(self, s: float) -> int:
-        return int(np.searchsorted(self.jumps, s, side="right"))
-
     @property
     def total_mass(self) -> float:
         if self.inside_count <= 1:
@@ -167,29 +162,11 @@ class EmpiricalSpacingCDF:
 
 def sigma_cdf(rs: RescaledSpectrum) -> EmpiricalSpacingCDF:
     """Empirical spacing distribution of one rescaled window."""
-    count = rs.inside.size
-    if count <= 1:
-        return EmpiricalSpacingCDF(
-            jumps=np.empty(0), window_size=rs.window.size, inside_count=count
-        )
     return EmpiricalSpacingCDF(
         jumps=np.sort(np.diff(rs.inside)),
         window_size=rs.window.size,
-        inside_count=count,
+        inside_count=rs.inside.size,
     )
-
-
-def total_mass_check(ecdf: EmpiricalSpacingCDF) -> float:
-    """Total mass (inside count - 1)/|A|, clamped to zero for degenerate
-    windows (0 or 1 eigenvalues inside), with a warning in that case."""
-    if ecdf.inside_count <= 1:
-        warnings.warn(
-            "window holds fewer than two eigenvalues; spacing mass clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return ecdf.total_mass
 
 
 @dataclass(frozen=True)
@@ -219,16 +196,12 @@ class GammaCounts:
 
 
 def _pair_data(inside: np.ndarray):
-    """All endpoint pairs (i < j) as (span, interior count) arrays."""
-    p = inside.size
-    spans = []
-    gaps = []
-    for i in range(p - 1):
-        spans.append(inside[i + 1 :] - inside[i])
-        gaps.append(np.arange(0, p - 1 - i))
-    if not spans:
-        return np.empty(0), np.empty(0, dtype=int)
-    return np.concatenate(spans), np.concatenate(gaps)
+    """All endpoint pairs (i < j) as (span, interior count) arrays, in
+    increasing span order; equal spans keep their (i, j) order."""
+    i, j = np.triu_indices(inside.size, 1)
+    spans = inside[j] - inside[i]
+    order = np.argsort(spans, kind="stable")
+    return spans[order], (j - i - 1)[order]
 
 
 def gamma_cdf(k: int, rs: RescaledSpectrum) -> GammaCounts:
@@ -242,14 +215,11 @@ def gamma_cdf(k: int, rs: RescaledSpectrum) -> GammaCounts:
     if k < 2:
         raise ValueError("tuple order k must be at least 2")
     spans, gaps = _pair_data(rs.inside)
-    mult = np.array([math.comb(int(g), k - 2) for g in gaps], dtype=object)
-    keep = np.array([m > 0 for m in mult], dtype=bool)
-    spans, mult = spans[keep], mult[keep]
-    order = np.argsort(spans, kind="stable")
+    keep = gaps >= k - 2
     return GammaCounts(
         k=k,
-        spans=spans[order],
-        multiplicities=mult[order],
+        spans=spans[keep],
+        multiplicities=np.array([math.comb(int(g), k - 2) for g in gaps[keep]], dtype=object),
         window_size=rs.window.size,
     )
 
@@ -262,18 +232,17 @@ class IdentityReport:
     checked_points: int
     violations: tuple
 
-    def __bool__(self) -> bool:  # pragma: no cover -- convenience
-        return self.ok
 
-
-def alternating_identity_check(rs: RescaledSpectrum) -> IdentityReport:
+def alternating_identity_check(ecdf: EmpiricalSpacingCDF, rs: RescaledSpectrum) -> IdentityReport:
     """Verify, in exact integer arithmetic, the span/spacing combinatorics.
 
-    At every jump point (every pairwise span) the spacing count must equal
-    the alternating sum over k of the k-tuple span counts, and for every
-    cutoff m the partial alternating sum must bracket the spacing count from
-    the (-1)^m side.  Uses Python integers throughout; any discrepancy is
-    reported with its jump point, never tolerated.
+    ``ecdf`` is the spacing side, ``sigma_cdf`` of the window, and ``rs`` the
+    spectrum whose k-tuple spans are counted.  At every jump point of either
+    side the spacing count must equal the alternating sum over k of the span
+    counts, and for every cutoff m the partial alternating sum must bracket
+    the spacing count from the (-1)^m side.  Uses Python integers
+    throughout; any discrepancy is reported with its jump point, never
+    tolerated.
 
     The span counts are kept up to date as pairs enter, in increasing span
     order: a pair with g interior eigenvalues adds binom(g, k-2) to the
@@ -283,34 +252,26 @@ def alternating_identity_check(rs: RescaledSpectrum) -> IdentityReport:
     """
     p = rs.inside.size
     spans, gaps = _pair_data(rs.inside)
-    if spans.size == 0:
-        return IdentityReport(ok=True, checked_points=0, violations=())
-    order = np.argsort(spans, kind="stable")
-    spans, gaps = spans[order], gaps[order]
+    points = np.unique(np.concatenate([spans, ecdf.jumps]))
+    sigma_counts = np.searchsorted(ecdf.jumps, points, side="right")
+    spans, gaps = spans.tolist(), gaps.tolist()
 
     violations = []
     # binom[g][j] = C(g, j); gamma_counts[k - 2] is the order-k span count of
     # the pairs included so far.  All exact ints.
     binom = [[math.comb(g, j) for j in range(g + 1)] for g in range(p - 1)]
     gamma_counts = [0] * (p - 1)
-    sigma_count = 0
     idx = 0
-    points = 0
-    while idx < spans.size:
-        s = spans[idx]
-        while idx < spans.size and spans[idx] <= s:
-            g = int(gaps[idx])
-            for j, c in enumerate(binom[g]):
+    for s, sigma_count in zip(points.tolist(), sigma_counts.tolist()):
+        while idx < len(spans) and spans[idx] <= s:
+            for j, c in enumerate(binom[gaps[idx]]):
                 gamma_counts[j] += c
-            if g == 0:
-                sigma_count += 1
             idx += 1
-        points += 1
         # Orders k = 2, 4, ... carry sign +1, k = 3, 5, ... sign -1.
         alternating = sum(gamma_counts[0::2]) - sum(gamma_counts[1::2])
         if alternating != sigma_count:
             violations.append(
-                (float(s), "identity", f"alternating={alternating} sigma={sigma_count}")
+                (s, "identity", f"alternating={alternating} sigma={sigma_count}")
             )
         partial = 0
         sign = 1  # (-1)**m, from m = 2
@@ -318,11 +279,11 @@ def alternating_identity_check(rs: RescaledSpectrum) -> IdentityReport:
             partial += sign * count
             if sign * sigma_count > sign * partial:
                 violations.append(
-                    (float(s), f"truncation m={m}", f"partial={partial} sigma={sigma_count}")
+                    (s, f"truncation m={m}", f"partial={partial} sigma={sigma_count}")
                 )
             sign = -sign
     return IdentityReport(
-        ok=not violations, checked_points=points, violations=tuple(violations)
+        ok=not violations, checked_points=points.size, violations=tuple(violations)
     )
 
 
@@ -335,9 +296,7 @@ class KSReport:
     the node max is taken over the M-quantile nodes of the universal law.
     """
 
-    node_values: np.ndarray
     node_max: float
-    node_count: int
     mass_defect: float
     bound: float
 
@@ -351,12 +310,10 @@ def ks_node_distance(ecdf: EmpiricalSpacingCDF, nodes) -> KSReport:
         raise ValueError("need at least one interior quantile node")
     targets = np.arange(1, m) / m
     values = np.abs(ecdf.evaluate(nodes) - targets)
-    node_max = float(values.max()) if values.size else 0.0
+    node_max = float(values.max())
     mass_defect = abs(ecdf.total_mass - 1.0)
     return KSReport(
-        node_values=values,
         node_max=node_max,
-        node_count=m,
         mass_defect=mass_defect,
         bound=1.0 / m + node_max + mass_defect,
     )

@@ -175,7 +175,7 @@ def test_c07_exact_combinatorics():
     checked = 0
     for stream in range(1000):
         rs = gue_window(200, seed=SEED, stream=stream)
-        rep = alternating_identity_check(rs)
+        rep = alternating_identity_check(sigma_cdf(rs), rs)
         checked += rep.checked_points
         violations += len(rep.violations)
     elapsed = time.perf_counter() - t0

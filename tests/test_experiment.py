@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -126,6 +127,25 @@ class TestVerifyRun:
         assert path.read_text() == full
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert any("resumed" in w for w in manifest["warnings"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_filling_a_hole_keeps_task_order(self, tmp_path, tiny_cdf, workers):
+        # Row (32, 1) deleted: its resume used to append it after (64, 2).
+        cfg = tiny_config(tmp_path / "fresh", draws=3, workers=workers)
+        run_verify(cfg, cdf=tiny_cdf)
+        rows = (tmp_path / "fresh" / "results_beta2.csv").read_bytes()
+        out = tmp_path / "resumed"
+        out.mkdir()
+        for name in ("results_beta2.csv", "manifest.json"):
+            (out / name).write_bytes((tmp_path / "fresh" / name).read_bytes())
+        lines = rows.splitlines(keepends=True)
+        (out / "results_beta2.csv").write_bytes(b"".join(lines[:2] + lines[3:]))
+        run_verify(tiny_config(out, draws=3, workers=workers), cdf=tiny_cdf)
+        for name in ("results_beta2.csv", "summary.json"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "results_beta2.csv", "summary.json"
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_run_keeps_rows_and_resumes(self, tmp_path, tiny_cdf, monkeypatch, workers):
@@ -301,9 +321,39 @@ class TestIdentityRun:
         assert run_identity(tiny_config(tmp_path, sizes=(64,), draws=20, workers=2)) == report
 
     def test_corrupt_mode_reports_violation(self, tmp_path):
+        # The control runs the detector itself, on every draw it can corrupt.
         report = run_identity(tiny_config(tmp_path, sizes=(64,), draws=3), corrupt=True)
         assert not report["ok"]
-        assert report["violations"][0]["detail"] == "injected corruption"
+        assert report["violations"][0]["kind"] == "identity"
+        assert {v["draw"] for v in report["violations"]} == {0, 1, 2}
+
+    def test_corrupt_mode_fails_when_nothing_is_corrupted(self, tmp_path, capsys):
+        # At this seed the one n=8 window holds fewer than two eigenvalues:
+        # the control used to exit 0 without having corrupted anything.
+        cfg = tiny_config(tmp_path, sizes=(8,), draws=1, seed=1)
+        assert run_identity(cfg)["checked_jump_points"] == 0
+        with pytest.raises(RuntimeError, match="nothing could be corrupted"):
+            run_identity(cfg, corrupt=True)
+        args = ["identity", "--sizes", "8", "--draws", "1", "--seed", "1", "--corrupt",
+                "--out", str(tmp_path / "c")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nothing could be corrupted") and err.count("\n") == 1
+
+    def test_identity_reads_the_scored_spacing_counts(self, tmp_path, monkeypatch):
+        # A spacing counter that drops its largest jump must fail the check:
+        # the spacing side is the sigma_cdf count that verify scores.
+        real = experiment.sigma_cdf
+
+        def dropped(rs):
+            ecdf = real(rs)
+            return dataclasses.replace(ecdf, jumps=ecdf.jumps[:-1])
+
+        monkeypatch.setattr(experiment, "sigma_cdf", dropped)
+        report = run_identity(tiny_config(tmp_path, sizes=(64,), draws=3))
+        assert not report["ok"]
+        assert {v["kind"] for v in report["violations"]} >= {"identity"}
+        assert {v["draw"] for v in report["violations"]} == {0, 1, 2}
 
 
     def test_mcmc_chain_drawn_once(self, tmp_path, monkeypatch):
@@ -404,6 +454,17 @@ class TestCli:
     def test_gap_usage_errors(self, capsys):
         assert main(["gap", "--beta", "1", "--s", "2", "--method", "fredholm"]) == 2
         assert main(["gap", "--beta", "2", "--s", "2", "--method", "series"]) == 2
+
+    @pytest.mark.parametrize("method", ["painleve", "fredholm", "series"])
+    @pytest.mark.parametrize("s", ["nan", "inf", "-1", "0"])
+    def test_gap_rejects_s_not_finite_and_positive(self, capsys, method, s):
+        # --s nan used to print nan (fredholm) or blame t_max (painleve).
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--beta", "2", "--s", s, "--method", method])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--s must be finite and positive" in captured.err
 
     def test_gap_past_trajectory_fails(self, capsys):
         # G_beta(s) needs the trajectory at t = pi*s (2*pi*s for beta=4), which

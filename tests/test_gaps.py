@@ -67,6 +67,9 @@ class TestSigmaTrajectory:
             lookup(np.array([1.0, 2.0 * traj.t_max]))
         with pytest.raises(ValueError, match="trajectory covers"):
             gap_probability(traj, 2, traj.t_max / PI + 1.0)
+        for s in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                gap_probability(traj, 2, s)
 
 
 class TestGapCurves:
@@ -128,6 +131,10 @@ class TestFredholm:
             fredholm_g2(-1.0)
         with pytest.raises(ValueError):
             fredholm_g2(1.0, n=2)
+        # NaN slips past "s <= 0" and used to return nan.
+        for s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                fredholm_g2(s)
 
 
 class TestSeriesGap:

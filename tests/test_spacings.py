@@ -20,7 +20,6 @@ from spacinglab.spacings import (
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
-    total_mass_check,
     variance_diagnostic,
 )
 
@@ -113,9 +112,8 @@ class TestSigmaCdf:
     def test_total_mass(self):
         # Exactly |A|+1 points inside gives mass 1.
         rs = make_rs(np.linspace(0, 1, 5), size=4.0)
-        assert total_mass_check(sigma_cdf(rs)) == pytest.approx(1.0)
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            assert total_mass_check(sigma_cdf(make_rs([0.7]))) == 0.0
+        assert sigma_cdf(rs).total_mass == pytest.approx(1.0)
+        assert sigma_cdf(make_rs([0.7])).total_mass == 0.0
 
 
 def brute_force_gamma_count(inside, k, s):
@@ -205,7 +203,7 @@ def reference_identity_check(rs, comb=math.comb):
 
 
 def assert_same_report(rs, comb=math.comb):
-    got = alternating_identity_check(rs)
+    got = alternating_identity_check(sigma_cdf(rs), rs)
     want = reference_identity_check(rs, comb)
     assert (got.ok, got.checked_points, got.violations) == (
         want.ok, want.checked_points, want.violations
@@ -217,25 +215,40 @@ class TestAlternatingIdentity:
         rs = make_rs([0.0, 0.4, 1.0], size=3.0)
         # gamma_2 - gamma_3 = 3 - 1 = 2 = sigma count at s = 1.
         assert gamma_cdf(2, rs).count_at(1.0) - gamma_cdf(3, rs).count_at(1.0) == 2
-        assert sigma_cdf(rs).count_at(1.0) == 2
-        report = alternating_identity_check(rs)
+        assert np.searchsorted(sigma_cdf(rs).jumps, 1.0, side="right") == 2
+        report = alternating_identity_check(sigma_cdf(rs), rs)
         assert report.ok
         assert report.checked_points == 3
 
     def test_single_point_vacuous(self):
-        report = alternating_identity_check(make_rs([0.5]))
+        rs = make_rs([0.5])
+        report = alternating_identity_check(sigma_cdf(rs), rs)
         assert report.ok
         assert report.checked_points == 0
 
     def test_random_gue_windows_exact(self):
         for stream in range(100):
             rs = gue_window(50, seed=61, stream=stream)
-            report = alternating_identity_check(rs)
+            report = alternating_identity_check(sigma_cdf(rs), rs)
             assert report.ok, report.violations
+
+    def test_sides_that_disagree_are_detected(self):
+        # The spacing side comes from sigma_cdf, so a span side counted on
+        # other points breaks the identity at the first spacing it misses.
+        rs = make_rs([0.0, 0.4, 1.0], size=3.0)
+        report = alternating_identity_check(sigma_cdf(rs), make_rs([-0.1, 0.4, 1.0], size=3.0))
+        assert report.violations[0] == (
+            pytest.approx(0.4), "identity", "alternating=0 sigma=1"
+        )
+        # A jump of the spacing side alone is a checked point too.
+        ecdf = EmpiricalSpacingCDF(jumps=np.array([0.5]), window_size=3.0, inside_count=2)
+        report = alternating_identity_check(ecdf, make_rs([0.7]))
+        assert report.checked_points == 1
+        assert report.violations == ((0.5, "identity", "alternating=0 sigma=1"),)
 
     def test_ties_do_not_crash(self):
         rs = make_rs([0.0, 0.2, 0.2, 0.9], size=3.0)
-        assert alternating_identity_check(rs).ok
+        assert alternating_identity_check(sigma_cdf(rs), rs).ok
 
     def test_matches_reference_on_random_windows(self, rng):
         for p in range(31):
@@ -265,7 +278,7 @@ class TestAlternatingIdentity:
         monkeypatch.setattr(spacings, "math", SimpleNamespace(comb=comb))
         rs = make_rs([0.0, 0.3, 0.7, 1.2, 2.0])
         assert_same_report(rs, comb)
-        report = alternating_identity_check(rs)
+        report = alternating_identity_check(sigma_cdf(rs), rs)
         assert not report.ok
         assert {kind.split()[0] for _, kind, _ in report.violations} == {
             "identity", "truncation"
