@@ -180,7 +180,7 @@ def _semicircle_quantiles(n: int) -> np.ndarray:
 
 
 def log_density_diff(
-    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float
+    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float, work=None
 ) -> float:
     """Log-density change of moving coordinate i to ``proposal``.
 
@@ -188,16 +188,26 @@ def log_density_diff(
     one-point log-weights; only terms containing coordinate i change.  The
     result is -inf when the proposal coincides with another coordinate, so a
     coincidence can never be accepted.
+
+    ``work`` is an optional (2, n) float scratch buffer, overwritten by the
+    call: row 0 holds the distances from the proposal, row 1 those from x[i],
+    and one ``log`` and one row sum give both log sums.  Reusing one buffer
+    for a whole chain replaces the per-call temporaries and changes no value:
+    each contiguous row is summed pairwise, exactly as ``np.sum`` of a 1-D
+    array is.
     """
-    new = np.abs(proposal - x)
-    old = np.abs(x[i] - x)
-    new[i] = 1.0
-    old[i] = 1.0
-    if np.any(new == 0.0):
+    if work is None:
+        work = np.empty((2, x.size))
+    np.subtract(proposal, x, out=work[0])
+    np.subtract(x[i], x, out=work[1])
+    np.abs(work, out=work)
+    work[0, i] = work[1, i] = 1.0
+    if np.count_nonzero(work[0]) < x.size:
         return -np.inf
-    rep = np.sum(np.log(new)) - np.sum(np.log(old))
+    np.log(work, out=work)
+    new, old = work.sum(axis=1).tolist()
     w = _log_weight_at(spec, float(proposal)) - _log_weight_at(spec, float(x[i]))
-    return spec.beta * rep + w
+    return spec.beta * (new - old) + w
 
 
 def _log_weight_at(spec: EnsembleSpec, x: float) -> float:
@@ -210,8 +220,8 @@ def _log_weight_at(spec: EnsembleSpec, x: float) -> float:
         return -0.25 * spec.beta * spec.n * x * x
     c = spec.potential
     v = c[-1] + x * 0
-    for k in range(2, len(c) + 1):
-        v = c[-k] + v * x
+    for ck in c[-2::-1]:
+        v = ck + v * x
     scale = spec.n if spec.beta in (1, 2) else 2 * spec.n
     return -scale * v
 
@@ -251,21 +261,22 @@ def sample_mcmc(
     state.accepted = 0
     state.proposed = 0
     window_acc = np.zeros(n, dtype=int)
+    work = np.empty((2, n))
 
     for sweep in range(steps):
         z = rng.standard_normal(n)
         logu = np.log(rng.random(n))
         frozen = sweep >= burn_in
+        hits = 0
         for i in range(n):
             proposal = x[i] + scales[i] * z[i]
-            dlog = log_density_diff(spec, x, i, proposal)
-            accept = logu[i] < dlog
-            if accept:
+            if logu[i] < log_density_diff(spec, x, i, proposal, work):
                 x[i] = proposal
                 window_acc[i] += 1
-            if frozen:
-                state.proposed += 1
-                state.accepted += int(accept)
+                hits += 1
+        if frozen:
+            state.proposed += n
+            state.accepted += hits
         if not frozen and (sweep + 1) % _ADAPT_WINDOW == 0:
             rates = window_acc / _ADAPT_WINDOW
             scales[rates < 0.3] *= 0.7

@@ -7,6 +7,7 @@ from spacinglab.ensembles import (
     CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
+    _semicircle_quantiles,
     dense_goe_matrix,
     dump_spectra,
     log_density_diff,
@@ -14,6 +15,13 @@ from spacinglab.ensembles import (
     sample_mcmc,
     sample_tridiagonal,
     semicircle_density,
+)
+
+each_beta = pytest.mark.parametrize("beta", [1, 2, 4])
+each_potential = pytest.mark.parametrize(
+    "potential",
+    ["gaussian", (0.0, 0.0, 0.0, 0.0, 16.0), (0.3, 0.0, -1.0, 0.0, 0.25)],
+    ids=["gaussian", "quartic", "mixed-sign"],
 )
 
 
@@ -153,6 +161,7 @@ class TestMcmc:
         spec = EnsembleSpec(beta=2, n=16)
         state = SamplerState(seed=4)
         list(sample_mcmc(spec, state, steps=300, burn_in=200, thin=10))
+        assert state.proposed == (300 - 200) * 16
         assert 0.05 <= state.acceptance_rate <= 0.95
         assert not state.warnings
 
@@ -173,31 +182,44 @@ class TestMcmc:
         spec = EnsembleSpec(beta=2, n=4)
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         assert log_density_diff(spec, x, 0, 1.0) == -np.inf
+        work = np.full((2, 4), 7.0)
+        assert log_density_diff(spec, x, 0, 1.0, work) == -np.inf
 
-    @pytest.mark.parametrize("beta", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "potential",
-        ["gaussian", (0.0, 0.0, 0.0, 0.0, 16.0), (0.3, 0.0, -1.0, 0.0, 0.25)],
-        ids=["gaussian", "quartic", "mixed-sign"],
-    )
+    @each_beta
+    @each_potential
     def test_log_density_diff_matches_array_weight(self, beta, potential):
         # The scalar weight must reproduce the array formula bit for bit, so
-        # that chains keep accepting exactly the same proposals.
+        # that chains keep accepting exactly the same proposals; a scratch
+        # buffer left dirty by the previous call must not change a byte.
         rng = np.random.default_rng([beta, len(potential)])
-        for n in (2, 9, 33):
+        for n in (2, 9, 33, 150):
             spec = EnsembleSpec(beta=beta, n=n, potential=potential)
+            work = np.full((2, n), np.nan)
             for _ in range(40):
                 x = rng.normal(0.0, 1.5, n)
                 i = int(rng.integers(n))
                 proposal = x[i] + rng.normal(0.0, 0.5)
-                new = np.abs(proposal - x)
-                old = np.abs(x[i] - x)
-                new[i] = old[i] = 1.0
-                rep = np.sum(np.log(new)) - np.sum(np.log(old))
-                w = spec.log_weight(np.array([proposal, x[i]]))
-                expected = spec.beta * rep + float(w[0] - w[1])
+                expected = _reference_log_density_diff(spec, x, i, proposal)
                 got = log_density_diff(spec, x, i, proposal)
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+                reused = log_density_diff(spec, x, i, proposal, work)
+                assert np.float64(reused).tobytes() == np.float64(got).tobytes()
+
+    @each_beta
+    @each_potential
+    def test_chain_matches_reference_loop(self, beta, potential):
+        # The sampler must accept exactly the proposals of the plain
+        # one-temporary-per-term loop below; n = 150 crosses numpy's
+        # 128-element pairwise-summation block.
+        for n in (2, 9, 33, 150):
+            spec = EnsembleSpec(beta=beta, n=n, potential=potential)
+            state, ref = SamplerState(seed=n, stream=beta), SamplerState(seed=n, stream=beta)
+            got = list(sample_mcmc(spec, state, steps=40, burn_in=30, thin=3))
+            want = list(_reference_mcmc(spec, ref, steps=40, burn_in=30, thin=3))
+            assert len(got) == len(want) == 4
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert (state.accepted, state.proposed) == (ref.accepted, ref.proposed)
+            assert state.warnings == ref.warnings
 
     @pytest.mark.slow
     def test_two_particle_stationary_density(self):
@@ -259,6 +281,57 @@ class TestMcmc:
         )
         res = stats.ks_2samp(mcmc_vals, trid_vals)
         assert res.pvalue > 0.01
+
+
+def _reference_log_density_diff(spec, x, i, proposal):
+    """One temporary array per term and the array form of the weight."""
+    new = np.abs(proposal - x)
+    old = np.abs(x[i] - x)
+    new[i] = 1.0
+    old[i] = 1.0
+    if np.any(new == 0.0):
+        return -np.inf
+    rep = np.sum(np.log(new)) - np.sum(np.log(old))
+    w = spec.log_weight(np.array([proposal, x[i]]))
+    return spec.beta * rep + float(w[0] - w[1])
+
+
+def _reference_mcmc(spec, state, steps, burn_in, thin):
+    """The sampler's loop with one temporary array per term and per-proposal
+    counting: the reference that ``sample_mcmc`` must match bit for bit."""
+    n = spec.n
+    rng = state.generator()
+    x = _semicircle_quantiles(n) if spec.is_gaussian else np.linspace(-1.0, 1.0, n)
+    scales = np.full(n, 4.0 / n)
+    state.accepted = 0
+    state.proposed = 0
+    window_acc = np.zeros(n, dtype=int)
+    for sweep in range(steps):
+        z = rng.standard_normal(n)
+        logu = np.log(rng.random(n))
+        frozen = sweep >= burn_in
+        for i in range(n):
+            proposal = x[i] + scales[i] * z[i]
+            accept = logu[i] < _reference_log_density_diff(spec, x, i, proposal)
+            if accept:
+                x[i] = proposal
+                window_acc[i] += 1
+            if frozen:
+                state.proposed += 1
+                state.accepted += int(accept)
+        if not frozen and (sweep + 1) % 25 == 0:
+            rates = window_acc / 25
+            scales[rates < 0.3] *= 0.7
+            scales[rates > 0.5] *= 1.4
+            np.clip(scales, 1e-4, 2.0, out=scales)
+            window_acc[:] = 0
+        if frozen and (sweep - burn_in) % thin == 0:
+            yield np.sort(x)
+    rate = state.acceptance_rate
+    if not 0.05 <= rate <= 0.95:
+        state.warnings.append(
+            f"mcmc acceptance rate {rate:.3f} outside [0.05, 0.95] after burn-in"
+        )
 
 
 def test_dump_spectra(tmp_path):
