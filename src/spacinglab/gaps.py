@@ -37,10 +37,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import CORR_ORDER_MAX, corr_fn, pfaffian, skew_kernel_block
+from .kernels import corr_fn, pfaffian, skew_kernel_block
 
 __all__ = [
     "GapCurve",
@@ -86,52 +87,30 @@ BVP_TOL = 1e-10
 GAP_STEP = 1e-3
 
 
-def _series_sigma(t):
+def _seed(t):
+    """The cubic seed series at t, as the rows sigma, sigma', v, -v',
+    Int_0^t v and Int_0^t sqrt(-v')/2."""
     t = np.asarray(t, dtype=float)
-    return -t / PI - (t / PI) ** 2 - t**3 / PI**3
+    return np.array(
+        [
+            -t / PI - (t / PI) ** 2 - t**3 / PI**3,
+            -1.0 / PI - 2.0 * t / PI**2 - 3.0 * t**2 / PI**3,
+            -1.0 / PI - t / PI**2 - t**2 / PI**3,
+            1.0 / PI**2 + 2.0 * t / PI**3 + 3.0 * t**2 / PI**4,
+            -t / PI - t**2 / (2.0 * PI**2) - t**3 / (3.0 * PI**3),
+            (t + t**2 / (2.0 * PI) + t**3 / (3.0 * PI**2)) / (2.0 * PI),
+        ]
+    )
 
 
-def _series_sigma_prime(t):
+def _asym(t):
+    """The large-t expansion at t, as the rows sigma and sigma'."""
     t = np.asarray(t, dtype=float)
-    return -1.0 / PI - 2.0 * t / PI**2 - 3.0 * t**2 / PI**3
-
-
-def _series_v(t):
-    t = np.asarray(t, dtype=float)
-    return -1.0 / PI - t / PI**2 - t**2 / PI**3
-
-
-def _series_neg_v_prime(t):
-    t = np.asarray(t, dtype=float)
-    return 1.0 / PI**2 + 2.0 * t / PI**3 + 3.0 * t**2 / PI**4
-
-
-def _series_log_gap2(t):
-    """Integral of v over [0, t] from the seed series."""
-    t = np.asarray(t, dtype=float)
-    return -t / PI - t**2 / (2.0 * PI**2) - t**3 / (3.0 * PI**3)
-
-
-def _series_log_h(t):
-    """Integral of sqrt(-v')/2 over [0, t] from the seed series."""
-    t = np.asarray(t, dtype=float)
-    return (t + t**2 / (2.0 * PI) + t**3 / (3.0 * PI**2)) / (2.0 * PI)
-
-
-def _asym_sigma(t):
-    t = np.asarray(t, dtype=float)
-    out = -t * t / 4.0 - 0.25
+    sigma, prime = -t * t / 4.0 - 0.25, -t / 2.0
     for j, c in ASYM_COEFFS.items():
-        out = out + c * t ** (-j)
-    return out
-
-
-def _asym_sigma_prime(t):
-    t = np.asarray(t, dtype=float)
-    out = -t / 2.0
-    for j, c in ASYM_COEFFS.items():
-        out = out - j * c * t ** (-j - 1)
-    return out
+        sigma = sigma + c * t ** (-j)
+        prime = prime - j * c * t ** (-j - 1)
+    return np.array([sigma, prime])
 
 
 def _sigma_rhs(t, y):
@@ -144,60 +123,52 @@ def _sigma_rhs(t, y):
     )
 
 
+class Lookup(NamedTuple):
+    """The trajectory at t: sigma, v = sigma/t, -v', Int_0^t v (``log_gap2``,
+    the log of the beta=2 gap probability at gap length t/pi) and
+    Int_0^t sqrt(-v')/2 (``log_h``)."""
+
+    sigma: np.ndarray
+    v: np.ndarray
+    neg_v_prime: np.ndarray
+    log_gap2: np.ndarray
+    log_h: np.ndarray
+
+
 @dataclass(frozen=True)
 class SigmaTrajectory:
     """Painleve sigma function and its gap integrals on [t0, t_max].
 
     One collocation solution of the sigma-BVP carries sigma, sigma' and the
-    cumulative integrals from 0 of v (``log_gap2``) and of sqrt(-v')/2
-    (``log_h``); every accessor evaluates that dense solution, and the seed
-    series below SEED_T0.  Every lookup past ``t_max`` raises ValueError
-    instead of clamping.
+    cumulative integrals from 0 of v and of sqrt(-v')/2; ``at`` reads every
+    quantity from one evaluation of that dense solution, and from the seed
+    series below SEED_T0.
     """
 
     t_max: float
     _dense: object = field(repr=False)
 
-    def _eval(self, t, series, from_solution):
-        """``series(t)`` below SEED_T0, else ``from_solution(t, y)`` with y the
-        dense solution at t."""
+    def at(self, t) -> Lookup:
+        """Every row of the trajectory at t.
+
+        A lookup past ``t_max`` raises ValueError instead of clamping.  -v'
+        is clamped against roundoff, and raises RuntimeError if it
+        undershoots the clamp: on the true branch it is non-negative for all t.
+        """
         t = np.asarray(t, dtype=float)
         if np.any(t > self.t_max * (1 + 1e-12)):
             raise ValueError(
                 f"trajectory covers t <= {self.t_max}, requested {float(np.max(t))}"
             )
         safe = np.clip(t, SEED_T0, self.t_max)
-        return np.where(t < SEED_T0, series(t), from_solution(safe, self._dense(safe)))
-
-    def sigma_at(self, t):
-        return self._eval(t, _series_sigma, lambda t, y: y[0])
-
-    def v(self, t):
-        """sigma(t)/t, extended by its limit -1/pi at t = 0."""
-        return self._eval(t, _series_v, lambda t, y: y[0] / t)
-
-    def neg_v_prime(self, t):
-        """-v'(t) = (sigma - t sigma')/t^2, clamped against roundoff.
-
-        Raises if the radicand undershoots the clamp; on the true branch the
-        quantity is non-negative for all t.
-        """
-        raw = self._eval(
-            t, _series_neg_v_prime, lambda t, y: (y[0] - t * y[1]) / (t * t)
-        )
-        if np.any(raw < -RADICAND_CLAMP):
-            bad = float(np.asarray(t).ravel()[int(np.argmin(raw))])
+        sig, sigp, el, jay = self._dense(safe)
+        solved = [sig, sig / safe, (sig - safe * sigp) / (safe * safe), el, jay]
+        rows = np.where(t < SEED_T0, _seed(t)[[0, 2, 3, 4, 5]], solved)
+        if np.any(rows[2] < -RADICAND_CLAMP):
+            bad = float(t.ravel()[int(np.argmin(rows[2]))])
             raise RuntimeError(f"negative radicand in sqrt(-v') at t={bad:g}")
-        return np.maximum(raw, 0.0)
-
-    def log_gap2(self, t):
-        """Integral of v over [0, t] (the log of the beta=2 gap probability
-        at gap length t/pi).  Raises past the solved range."""
-        return self._eval(t, _series_log_gap2, lambda t, y: y[2])
-
-    def log_h(self, t):
-        """Integral of sqrt(-v')/2 over [0, t].  Raises past the solved range."""
-        return self._eval(t, _series_log_h, lambda t, y: y[3])
+        rows[2] = np.maximum(rows[2], 0.0)
+        return Lookup(*rows)
 
 
 def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
@@ -221,16 +192,10 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
     if not SEED_T0 <= seed_at <= 0.1:
         raise ValueError("seed point must lie in [SEED_T0, 0.1]")
     t_far = max(float(t_max), _T_FAR_MIN)
+    seed, far = _seed(seed_at), _asym(t_far)
 
     def bc(ya, yb):
-        return np.array(
-            [
-                ya[0] - float(_series_sigma(seed_at)),
-                yb[0] - float(_asym_sigma(t_far)),
-                ya[2] - float(_series_log_gap2(seed_at)),
-                ya[3] - float(_series_log_h(seed_at)),
-            ]
-        )
+        return np.array([ya[0] - seed[0], yb[0] - far[0], ya[2] - seed[4], ya[3] - seed[5]])
 
     mesh = np.concatenate(
         [
@@ -238,10 +203,10 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
             np.linspace(4.02, t_far, max(600, int(12 * t_far))),
         ]
     )
-    guess = np.where(mesh < 2.0, _series_sigma(mesh), _asym_sigma(mesh))
-    guess_p = np.where(mesh < 2.0, _series_sigma_prime(mesh), _asym_sigma_prime(mesh))
-    # The integrals feed nothing back into sigma, so they can start from zero.
-    y0 = np.vstack([guess, guess_p, np.zeros((2, mesh.size))])
+    # sigma and sigma' from the series near the seed and the expansion beyond;
+    # the integrals feed nothing back into sigma, so they can start from zero.
+    guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
+    y0 = np.vstack([guess, np.zeros((2, mesh.size))])
     sol = solve_bvp(_sigma_rhs, bc, mesh, y0, tol=BVP_TOL, max_nodes=400000)
     if sol.status != 0:
         raise RuntimeError(f"sigma-ODE collocation failed: {sol.message}")
@@ -255,7 +220,7 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
         bad = tt[int(np.argmin(rad))]
         raise RuntimeError(f"sigma-ODE branch violation at s={bad:g}")
     near = np.linspace(seed_at, 10 * seed_at, 50)
-    if np.max(np.abs(sol.sol(near)[0] - _series_sigma(near))) > 1e-8:
+    if np.max(np.abs(sol.sol(near)[0] - _seed(near)[0])) > 1e-8:
         raise RuntimeError(f"sigma-ODE branch violation at s={10 * seed_at:g}")
     return SigmaTrajectory(t_max=t_far, _dense=sol.sol)
 
@@ -280,8 +245,8 @@ def _gap_and_slope(traj: SigmaTrajectory, beta: int, s):
     if beta not in (1, 2, 4):
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     u = (2.0 if beta == 4 else 1.0) * PI * np.asarray(s, dtype=float)
-    el, jay = traj.log_gap2(u), traj.log_h(u)
-    v, w = traj.v(u), np.sqrt(traj.neg_v_prime(u))
+    _, v, neg_v_prime, el, jay = traj.at(u)
+    w = np.sqrt(neg_v_prime)
     if beta == 2:
         g = np.exp(el)
         return g, PI * v * g
@@ -341,8 +306,9 @@ class UniversalSpacingCDF:
         return np.interp(s, self.grid, self.cdf, left=0.0, right=1.0)
 
 
-def universal_cdf(beta: int, curve: GapCurve, m_nodes: int) -> UniversalSpacingCDF:
-    """Tabulate F_beta = 1 + G_beta' and extract M-quantile nodes.
+def universal_cdf(curve: GapCurve, m_nodes: int) -> UniversalSpacingCDF:
+    """Tabulate F_beta = 1 + G_beta' of the curve's beta and extract
+    M-quantile nodes.
 
     The tabulated derivative is monotone up to integration error; violations
     beyond 1e-8 abort, smaller ones are clamped away so the quantile
@@ -350,8 +316,6 @@ def universal_cdf(beta: int, curve: GapCurve, m_nodes: int) -> UniversalSpacingC
     """
     if m_nodes < 2:
         raise ValueError("node count must be at least 2")
-    if beta != curve.beta:
-        raise ValueError(f"curve is for beta={curve.beta}, requested beta={beta}")
     f = 1.0 + curve.gap_prime
     f[0] = 0.0
     drops = np.diff(f)
@@ -370,7 +334,7 @@ def universal_cdf(beta: int, curve: GapCurve, m_nodes: int) -> UniversalSpacingC
     survival = np.clip(-curve.gap_prime, 0.0, 1.0)
     survival[0] = 1.0
     return UniversalSpacingCDF(
-        beta=beta, grid=curve.grid, cdf=f, survival=survival, nodes=nodes
+        beta=curve.beta, grid=curve.grid, cdf=f, survival=survival, nodes=nodes
     )
 
 
@@ -391,7 +355,7 @@ def build_universal_cdf(
     if traj is None:
         traj = integrate_sigma(2 * PI * s_max)
     curves = gap_curves(traj, s_max)
-    return universal_cdf(beta, curves[beta], m_nodes)
+    return universal_cdf(curves[beta], m_nodes)
 
 
 def gap_probability(traj: SigmaTrajectory, beta: int, s: float) -> float:
@@ -440,8 +404,6 @@ def series_gap(beta: int, s: float, k_max: int = 4) -> float:
         raise ValueError("series truncation is only accurate for 0 < s <= 1")
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must lie in [1, 4]")
-    if k_max > CORR_ORDER_MAX:  # pragma: no cover -- caps are consistent
-        raise ValueError("correlation order too large")
     total = 1.0 - s  # k = 1 term: W_1 == 1
     for k in range(2, k_max + 1):
         n = _SERIES_NODES[k]

@@ -109,12 +109,10 @@ def estimate_density(spectra, a: float, bandwidth: float) -> float:
     if not lo <= a <= hi:
         raise ValueError("bulk point outside spectrum support")
     total = 0.0
-    weight = 0.0
     for s in spectra:
         u = (a - s) / bandwidth
         total += 0.75 * np.sum(np.maximum(1.0 - u * u, 0.0)) / (s.size * bandwidth)
-        weight += 1.0
-    psi = total / weight
+    psi = total / len(spectra)
     if psi <= 0:
         raise ValueError("bulk point outside spectrum support")
     return float(psi)
@@ -147,7 +145,6 @@ class EmpiricalSpacingCDF:
 
     jumps: np.ndarray  # sorted spacing values
     window_size: float
-    inside_count: int
 
     def evaluate(self, s):
         counts = np.searchsorted(self.jumps, s, side="right")
@@ -155,9 +152,7 @@ class EmpiricalSpacingCDF:
 
     @property
     def total_mass(self) -> float:
-        if self.inside_count <= 1:
-            return 0.0
-        return (self.inside_count - 1) / self.window_size
+        return self.jumps.size / self.window_size
 
 
 def sigma_cdf(rs: RescaledSpectrum) -> EmpiricalSpacingCDF:
@@ -165,7 +160,6 @@ def sigma_cdf(rs: RescaledSpectrum) -> EmpiricalSpacingCDF:
     return EmpiricalSpacingCDF(
         jumps=np.sort(np.diff(rs.inside)),
         window_size=rs.window.size,
-        inside_count=rs.inside.size,
     )
 
 

@@ -26,12 +26,12 @@ def curves(traj):
 
 @pytest.fixture(scope="session")
 def cdfs(curves):
-    return {beta: universal_cdf(beta, curves[beta], 100) for beta in (1, 2, 4)}
+    return {beta: universal_cdf(curves[beta], 100) for beta in (1, 2, 4)}
 
 
 @pytest.fixture(scope="session")
 def cdf2_m50(curves):
-    return universal_cdf(2, curves[2], 50)
+    return universal_cdf(curves[2], 50)
 
 
 def gue_window(n, seed=0, stream=0, delta_exponent=-0.6):

@@ -72,7 +72,7 @@ def test_c01_painleve_seed_series():
     t0 = time.perf_counter()
     traj = integrate_sigma(50.0)
     s = np.geomspace(1e-3, 5e-2, 60)
-    err = np.abs(traj.sigma_at(s) - (-s / PI - (s / PI) ** 2 - s**3 / PI**3))
+    err = np.abs(traj.at(s).sigma - (-s / PI - (s / PI) ** 2 - s**3 / PI**3))
     worst = float(np.max(err / s**4))
     elapsed = time.perf_counter() - t0
     ok = np.all(err <= 10.0 * s**4) and elapsed < budget
@@ -84,7 +84,7 @@ def test_c01_painleve_seed_series():
 def test_c02_painleve_asymptotics(traj):
     budget = 5.0
     t0 = time.perf_counter()
-    resids = {s: abs(float(traj.v(s)) + s / 4.0 + 1.0 / (4.0 * s)) for s in (20.0, 40.0)}
+    resids = {s: abs(float(traj.at(s).v) + s / 4.0 + 1.0 / (4.0 * s)) for s in (20.0, 40.0)}
     elapsed = time.perf_counter() - t0
     ok = all(r <= 0.5 / s**2 for s, r in resids.items())
     report(
@@ -225,7 +225,7 @@ def test_c09_main_theorem_convergence(curves):
     means = {}
     terms = {}
     for beta, sizes in ((2, (100, 400, 1600)), (1, (100, 400)), (4, (100, 400))):
-        cdf = universal_cdf(beta, curves[beta], 50)
+        cdf = universal_cdf(curves[beta], 50)
         reports = [
             [ks_node_distance(sigma_cdf(rs), cdf.nodes) for rs in window_draws(beta, n, 200)]
             for n in sizes

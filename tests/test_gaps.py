@@ -24,28 +24,40 @@ def seed_series(t):
 class TestSigmaTrajectory:
     def test_matches_seed_series(self, traj):
         s = np.geomspace(1e-3, 5e-2, 40)
-        assert np.all(np.abs(traj.sigma_at(s) - seed_series(s)) <= 10.0 * s**4)
+        assert np.all(np.abs(traj.at(s).sigma - seed_series(s)) <= 10.0 * s**4)
 
     def test_large_s_asymptotics(self, traj):
         for s in (20.0, 40.0):
-            v = float(traj.v(s))
+            v = float(traj.at(s).v)
             assert abs(v + s / 4.0 + 1.0 / (4.0 * s)) <= 0.5 / s**2
 
     def test_v_prime_at_seed(self, traj):
         # Oracle: differentiate the seed series, v'(t) = -1/pi^2 - 2t/pi^3 - ...
         expected = -1.0 / PI**2 - 2.0 * SEED_T0 / PI**3 - 3.0 * SEED_T0**2 / PI**4
-        got = -float(traj.neg_v_prime(SEED_T0))
+        got = -float(traj.at(SEED_T0).neg_v_prime)
         assert got == pytest.approx(expected, abs=1e-6)
 
+    def test_rows_continuous_across_seed(self, traj):
+        # Below t0 every row comes from the seed series, from t0 on from the
+        # solution; the boundary conditions pin sigma and both integrals at
+        # t0, while -v' also depends on the solution's sigma'.
+        below = traj.at(np.nextafter(SEED_T0, 0.0))
+        above = traj.at(SEED_T0)
+        for name in below._fields:
+            tol = 1e-6 if name == "neg_v_prime" else 1e-12
+            assert float(getattr(below, name)) == pytest.approx(
+                float(getattr(above, name)), abs=tol
+            ), name
+
     def test_sigma_negative_and_decreasing(self, traj):
-        sigma = traj.sigma_at(np.arange(SEED_T0, traj.t_max + 5e-4, 1e-3))
+        sigma = traj.at(np.arange(SEED_T0, traj.t_max + 5e-4, 1e-3)).sigma
         assert np.all(sigma < 0)
         assert np.all(np.diff(sigma) < 0)
 
     def test_reseeding_consistency(self, traj):
         other = integrate_sigma(20.0, seed_at=2 * SEED_T0)
         t = np.linspace(2 * SEED_T0, 15.0, 500)
-        assert np.max(np.abs(other.sigma_at(t) - traj.sigma_at(t))) <= 1e-8
+        assert np.max(np.abs(other.at(t).sigma - traj.at(t).sigma)) <= 1e-8
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -59,7 +71,9 @@ class TestSigmaTrajectory:
 
     @pytest.mark.parametrize("method", ["log_gap2", "log_h"])
     def test_lookup_past_range_raises(self, traj, method):
-        lookup = getattr(traj, method)
+        def lookup(t):
+            return getattr(traj.at(t), method)
+
         assert np.isfinite(lookup(traj.t_max))
         with pytest.raises(ValueError, match="trajectory covers"):
             lookup(traj.t_max + 1.0)
@@ -105,6 +119,14 @@ class TestGapCurves:
                 -c.gap[idx + 2] + 8 * c.gap[idx + 1] - 8 * c.gap[idx - 1] + c.gap[idx - 2]
             ) / (12 * h)
             assert np.max(np.abs(fd - c.gap_prime[idx])) < 1e-6
+
+    def test_point_lookup_matches_table(self, traj, curves):
+        # gap_probability and gap_curves read the same lookup, so a point
+        # value equals its table entry exactly.
+        for beta in (1, 2, 4):
+            curve = curves[beta]
+            for i in np.linspace(0, curve.grid.size - 1, 41).astype(int):
+                assert gap_probability(traj, beta, float(curve.grid[i])) == curve.gap[i]
 
 
 class TestFredholm:
@@ -174,13 +196,13 @@ class TestUniversalCDF:
             )
 
     def test_median_only_node(self, curves):
-        cdf = universal_cdf(2, curves[2], 2)
+        cdf = universal_cdf(curves[2], 2)
         assert cdf.nodes.size == 1
         assert cdf.evaluate(cdf.nodes[0]) == pytest.approx(0.5, abs=1e-9)
 
     def test_node_count_validation(self, curves):
         with pytest.raises(ValueError):
-            universal_cdf(2, curves[2], 1)
+            universal_cdf(curves[2], 1)
 
     def test_route_agreement_grid(self, traj):
         for s in (0.1, 0.5, 1.0, 2.0, 3.0, 4.0):

@@ -241,7 +241,7 @@ class TestAlternatingIdentity:
             pytest.approx(0.4), "identity", "alternating=0 sigma=1"
         )
         # A jump of the spacing side alone is a checked point too.
-        ecdf = EmpiricalSpacingCDF(jumps=np.array([0.5]), window_size=3.0, inside_count=2)
+        ecdf = EmpiricalSpacingCDF(jumps=np.array([0.5]), window_size=3.0)
         report = alternating_identity_check(ecdf, make_rs([0.7]))
         assert report.checked_points == 1
         assert report.violations == ((0.5, "identity", "alternating=0 sigma=1"),)
@@ -289,9 +289,9 @@ class TestKsNodeDistance:
     def test_exact_match_gives_floor(self):
         m = 10
         nodes = np.linspace(0.2, 1.8, m - 1)
-        # Jumps exactly at the nodes, |A| = m, m+1 points inside: the ecdf
-        # hits i/m at every node and the mass is one.
-        ecdf = EmpiricalSpacingCDF(jumps=nodes.copy(), window_size=m, inside_count=m + 1)
+        # Jumps exactly at the nodes and one beyond the last, |A| = m: the
+        # ecdf hits i/m at every node and the mass is one.
+        ecdf = EmpiricalSpacingCDF(jumps=np.append(nodes, 2.0), window_size=m)
         report = ks_node_distance(ecdf, nodes)
         assert report.node_max == 0.0
         assert report.bound == pytest.approx(1.0 / m)
