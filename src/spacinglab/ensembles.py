@@ -147,8 +147,8 @@ def sample_tridiagonal(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
         return diag.copy()
     dof = spec.beta * np.arange(n - 1, 0, -1)
     off = np.sqrt(rng.chisquare(dof)) * scale
-    vals = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-    return np.sort(vals)
+    # sterf returns the eigenvalues in ascending order.
+    return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 
 
 def dense_goe_matrix(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
@@ -180,7 +180,7 @@ def _semicircle_quantiles(n: int) -> np.ndarray:
 
 
 def log_density_diff(
-    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float, work=None
+    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float, work=None, weights=None
 ) -> float:
     """Log-density change of moving coordinate i to ``proposal``.
 
@@ -195,6 +195,11 @@ def log_density_diff(
     for a whole chain replaces the per-call temporaries and changes no value:
     each contiguous row is summed pairwise, exactly as ``np.sum`` of a 1-D
     array is.
+
+    ``weights`` optionally carries the one-point log-weight of every
+    coordinate, ``weights[i] == _log_weight_at(spec, float(x[i]))``; the
+    call then reads the current weight from it instead of recomputing it,
+    which gives the same value.
     """
     if work is None:
         work = np.empty((2, x.size))
@@ -206,7 +211,8 @@ def log_density_diff(
         return -np.inf
     np.log(work, out=work)
     new, old = work.sum(axis=1).tolist()
-    w = _log_weight_at(spec, float(proposal)) - _log_weight_at(spec, float(x[i]))
+    current = _log_weight_at(spec, float(x[i])) if weights is None else weights[i]
+    w = _log_weight_at(spec, float(proposal)) - current
     return spec.beta * (new - old) + w
 
 
@@ -262,6 +268,8 @@ def sample_mcmc(
     state.proposed = 0
     window_acc = np.zeros(n, dtype=int)
     work = np.empty((2, n))
+    # The current log-weight of each coordinate changes only on accept.
+    weights = [_log_weight_at(spec, v) for v in x.tolist()]
 
     for sweep in range(steps):
         z = rng.standard_normal(n)
@@ -270,8 +278,9 @@ def sample_mcmc(
         hits = 0
         for i in range(n):
             proposal = x[i] + scales[i] * z[i]
-            if logu[i] < log_density_diff(spec, x, i, proposal, work):
+            if logu[i] < log_density_diff(spec, x, i, proposal, work, weights):
                 x[i] = proposal
+                weights[i] = _log_weight_at(spec, float(proposal))
                 window_acc[i] += 1
                 hits += 1
         if frozen:

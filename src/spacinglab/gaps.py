@@ -34,6 +34,7 @@ truncated correlation-function series for all beta (small s).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -182,16 +183,28 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
     the seed series on [t0, 10 t0] and against the positivity of both
     square-root radicands before being accepted.
 
+    The solution depends only on the far end and the seed point, so one
+    process solves each such pair once: every t_max up to 50 shares the
+    t = 50 solve, and a repeated call returns the same (frozen) trajectory.
+    A failed solve raises and is not remembered.
+
     ``seed_at`` exists so consistency under re-seeding (e.g. at 2 t0) can be
     exercised; production use keeps the default.
     """
-    from scipy.integrate import solve_bvp
-
     if not 0.0 < t_max <= T_MAX_LIMIT:
         raise ValueError(f"t_max must lie in (0, {T_MAX_LIMIT:g}]")
     if not SEED_T0 <= seed_at <= 0.1:
         raise ValueError("seed point must lie in [SEED_T0, 0.1]")
-    t_far = max(float(t_max), _T_FAR_MIN)
+    return _solve(max(float(t_max), _T_FAR_MIN), float(seed_at))
+
+
+# A process reads a few reaches at most (t = 50 and 2 pi s_max); the bound
+# keeps a long-lived caller from holding every trajectory it ever solved.
+@functools.lru_cache(maxsize=4)
+def _solve(t_far: float, seed_at: float) -> SigmaTrajectory:
+    """The sigma-BVP solved between ``seed_at`` and ``t_far``, memoized."""
+    from scipy.integrate import solve_bvp
+
     seed, far = _seed(seed_at), _asym(t_far)
 
     def bc(ya, yb):

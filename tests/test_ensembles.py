@@ -53,9 +53,15 @@ class TestTridiagonal:
         assert not np.array_equal(a, c)
 
     def test_sorted_output(self):
-        spec = EnsembleSpec(beta=1, n=101)
-        vals = sample_tridiagonal(spec, SamplerState(seed=1))
-        assert np.all(np.diff(vals) >= 0)
+        # The spectrum is returned in the eigensolver's own order, which
+        # must be ascending at every beta and size.
+        for beta in (1, 2, 4):
+            for n in (2, 3, 101, 400):
+                spec = EnsembleSpec(beta=beta, n=n)
+                for stream in range(3):
+                    vals = sample_tridiagonal(spec, SamplerState(seed=1, stream=stream))
+                    assert vals.shape == (n,)
+                    assert np.all(np.diff(vals) >= 0)
 
     def test_requires_gaussian(self):
         spec = EnsembleSpec(beta=2, n=16, potential=(0.0, 0.0, 1.0))
@@ -204,6 +210,24 @@ class TestMcmc:
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
                 reused = log_density_diff(spec, x, i, proposal, work)
                 assert np.float64(reused).tobytes() == np.float64(got).tobytes()
+
+    @each_beta
+    @each_potential
+    def test_carried_weights_change_no_value(self, beta, potential):
+        # The chain carries each coordinate's log-weight; reading it from
+        # there must give the value the call computes without it, bit for bit.
+        rng = np.random.default_rng([beta, 7, len(potential)])
+        for n in (2, 9, 33, 150):
+            spec = EnsembleSpec(beta=beta, n=n, potential=potential)
+            work = np.empty((2, n))
+            for _ in range(40):
+                x = rng.normal(0.0, 1.5, n)
+                weights = spec.log_weight(x).tolist()
+                i = int(rng.integers(n))
+                proposal = x[i] + rng.normal(0.0, 0.5)
+                plain = log_density_diff(spec, x, i, proposal)
+                carried = log_density_diff(spec, x, i, proposal, work, weights)
+                assert np.float64(carried).tobytes() == np.float64(plain).tobytes()
 
     @each_beta
     @each_potential

@@ -1,8 +1,15 @@
+import contextlib
+import io
+import types
+
 import numpy as np
 import pytest
+import scipy.integrate
 
+from spacinglab import cli
 from spacinglab.gaps import (
     SEED_T0,
+    _solve,
     build_universal_cdf,
     fredholm_g2,
     gap_curves,
@@ -234,3 +241,54 @@ def test_build_universal_cdf_shares_trajectory(traj):
     cdf = build_universal_cdf(2, s_max=6.0, m_nodes=10, traj=traj)
     assert cdf.node_count == 10
     assert cdf.grid[-1] == pytest.approx(6.0)
+
+
+class TestSolveOncePerReach:
+    """One process solves the sigma-BVP once per (far end, seed point)."""
+
+    def test_reaches_up_to_50_share_one_solve(self):
+        assert integrate_sigma(9.4) is integrate_sigma(15.7)
+        assert integrate_sigma(9.4).t_max == 50.0
+        assert integrate_sigma(2 * PI * 10) is not integrate_sigma(9.4)
+
+    def test_memoized_equals_fresh_solve(self):
+        t = np.linspace(0.0, 2 * PI * 10, 2001)
+        memo = integrate_sigma(2 * PI * 10).at(t)
+        fresh = _solve.__wrapped__(2 * PI * 10, SEED_T0).at(t)
+        for name in memo._fields:
+            assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    def test_failed_solve_is_not_remembered(self, monkeypatch):
+        real = scipy.integrate.solve_bvp
+
+        def failing(*args, **kwargs):
+            return types.SimpleNamespace(status=1, message="mesh nodes exceeded")
+
+        _solve.cache_clear()
+        monkeypatch.setattr(scipy.integrate, "solve_bvp", failing)
+        with pytest.raises(RuntimeError, match="collocation failed"):
+            integrate_sigma(10.0)
+        monkeypatch.setattr(scipy.integrate, "solve_bvp", real)
+        assert integrate_sigma(10.0).t_max == 50.0
+
+    def test_laws_sequence_solves_twice(self, monkeypatch, tmp_path):
+        real, calls = scipy.integrate.solve_bvp, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2][-1])
+            return real(*args, **kwargs)
+
+        _solve.cache_clear()
+        monkeypatch.setattr(scipy.integrate, "solve_bvp", counted)
+        argvs = [
+            ["universal", "--beta", str(b), "--s-max", "10", "--out", str(tmp_path)]
+            for b in (1, 2, 4)
+        ]
+        argvs += [
+            ["gap", "--beta", str(b), "--s", s, "--method", "painleve"]
+            for b in (1, 4)
+            for s in ("0.7", "3.0")
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
+        assert calls == [2 * PI * 10, 50.0]
