@@ -37,7 +37,6 @@ from .kernels import (
     matrix_kernel,
     pfaffian,
     regularized_antideriv4,
-    sine_kernel,
 )
 from .spacings import (
     EmpiricalSpacingCDF,
@@ -90,7 +89,6 @@ __all__ = [
     "semicircle_density",
     "series_gap",
     "sigma_cdf",
-    "sine_kernel",
     "tail_fit",
     "universal_cdf",
     "variance_diagnostic",

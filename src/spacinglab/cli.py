@@ -25,7 +25,6 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .ensembles import dump_spectra
 from .experiment import (
     ExperimentConfig,
     _draw_spectrum,
@@ -34,6 +33,7 @@ from .experiment import (
     load_config,
     run_identity,
     run_verify,
+    write_table,
 )
 from .gaps import (
     T_MAX_LIMIT,
@@ -42,13 +42,10 @@ from .gaps import (
     gap_probability,
     integrate_sigma,
     series_gap,
-    write_cdf_csv,
-    write_nodes_csv,
 )
 
 ENV_PREFIX = "SPACINGLAB_"
 
-USAGE_ERROR = 2
 NUMERIC_ERROR = 1
 
 
@@ -130,8 +127,8 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_universal(args) -> int:
     out = Path(args.out or _env("out", str) or ".")
     cdf = build_universal_cdf(args.beta, s_max=args.s_max, m_nodes=args.nodes)
-    print(write_cdf_csv(cdf, out))
-    print(write_nodes_csv(cdf, out))
+    print(write_table(out / f"F_beta{cdf.beta}.csv", "s,F", zip(cdf.grid, cdf.cdf)))
+    print(write_table(out / f"nodes_beta{cdf.beta}.csv", "i,s", enumerate(cdf.nodes, 1)))
     return 0
 
 
@@ -166,11 +163,9 @@ def _cmd_gap(args, parser) -> int:
     if not 0 < args.s < math.inf:
         parser.error(f"--s must be finite and positive, got {args.s:g}")
     if args.method == "fredholm" and args.beta != 2:
-        print("usage error: the fredholm route exists for beta=2 only", file=sys.stderr)
-        return USAGE_ERROR
+        parser.error("the fredholm route exists for beta=2 only")
     if args.method == "series" and args.s > 1.0:
-        print("usage error: the series route requires s <= 1", file=sys.stderr)
-        return USAGE_ERROR
+        parser.error("the series route requires s <= 1")
     if args.method == "painleve":
         # G_beta(s) reads the trajectory at t = pi*s, or 2*pi*s for beta=4.
         span = 2.0 if args.beta == 4 else 1.0
@@ -192,12 +187,17 @@ def _cmd_gap(args, parser) -> int:
 def _cmd_sample(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _task_map(config.workers) as task_map:
         for n in config.sizes:
             tasks = [(n, draw) for draw in range(config.draws)]
-            spectra = [values for values, _ in task_map(partial(_draw_spectrum, config), tasks)]
-            print(dump_spectra(spectra, out / f"spectra_beta{config.beta}_n{n}.csv"))
+            spectra = task_map(partial(_draw_spectrum, config), tasks)
+            rows = (
+                (draw, index, value)
+                for draw, (values, _) in enumerate(spectra)
+                for index, value in enumerate(values)
+            )
+            path = out / f"spectra_beta{config.beta}_n{n}.csv"
+            print(write_table(path, "draw_id,index,eigenvalue", rows))
     return 0
 
 

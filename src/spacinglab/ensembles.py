@@ -36,7 +36,6 @@ __all__ = [
     "EnsembleSpec",
     "SamplerState",
     "dense_goe_matrix",
-    "dump_spectra",
     "sample_dense_goe",
     "sample_mcmc",
     "sample_tridiagonal",
@@ -97,13 +96,16 @@ class EnsembleSpec:
     def is_gaussian(self) -> bool:
         return isinstance(self.potential, str) and self.potential == GAUSSIAN
 
-    def log_weight(self, x):
-        """log of the one-point confinement weight at x."""
-        x = np.asarray(x, dtype=float)
+    def log_weight(self, x: float) -> float:
+        """log of the one-point confinement weight at x (Horner's rule for a
+        polynomial potential, as numpy's ``polyval`` evaluates it)."""
         if self.is_gaussian:
             # Normalized convention: semicircle support [-2, 2] at every beta.
             return -0.25 * self.beta * self.n * x * x
-        v = np.polynomial.polynomial.polyval(x, np.asarray(self.potential))
+        c = self.potential
+        v = c[-1] + x * 0
+        for ck in c[-2::-1]:
+            v = ck + v * x
         scale = self.n if self.beta in (1, 2) else 2 * self.n
         return -scale * v
 
@@ -180,7 +182,7 @@ def _semicircle_quantiles(n: int) -> np.ndarray:
 
 
 def log_density_diff(
-    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float, work=None, weights=None
+    spec: EnsembleSpec, x: np.ndarray, i: int, proposal: float, work: np.ndarray, weights: list
 ) -> float:
     """Log-density change of moving coordinate i to ``proposal``.
 
@@ -189,20 +191,13 @@ def log_density_diff(
     result is -inf when the proposal coincides with another coordinate, so a
     coincidence can never be accepted.
 
-    ``work`` is an optional (2, n) float scratch buffer, overwritten by the
-    call: row 0 holds the distances from the proposal, row 1 those from x[i],
-    and one ``log`` and one row sum give both log sums.  Reusing one buffer
-    for a whole chain replaces the per-call temporaries and changes no value:
-    each contiguous row is summed pairwise, exactly as ``np.sum`` of a 1-D
-    array is.
-
-    ``weights`` optionally carries the one-point log-weight of every
-    coordinate, ``weights[i] == _log_weight_at(spec, float(x[i]))``; the
-    call then reads the current weight from it instead of recomputing it,
-    which gives the same value.
+    ``work`` is a (2, n) float scratch buffer, overwritten by the call: row 0
+    holds the distances from the proposal, row 1 those from x[i], and one
+    ``log`` and one row sum give both log sums (each contiguous row is summed
+    pairwise, exactly as ``np.sum`` of a 1-D array is).  ``weights`` carries
+    the one-point log-weight of every coordinate,
+    ``weights[i] == spec.log_weight(float(x[i]))``.
     """
-    if work is None:
-        work = np.empty((2, x.size))
     np.subtract(proposal, x, out=work[0])
     np.subtract(x[i], x, out=work[1])
     np.abs(work, out=work)
@@ -211,25 +206,7 @@ def log_density_diff(
         return -np.inf
     np.log(work, out=work)
     new, old = work.sum(axis=1).tolist()
-    current = _log_weight_at(spec, float(x[i])) if weights is None else weights[i]
-    w = _log_weight_at(spec, float(proposal)) - current
-    return spec.beta * (new - old) + w
-
-
-def _log_weight_at(spec: EnsembleSpec, x: float) -> float:
-    """``spec.log_weight`` at one float, without building an array.
-
-    The operations and their order are those of ``log_weight`` (Horner as in
-    numpy's ``polyval``), so the value is bit-identical.
-    """
-    if spec.is_gaussian:
-        return -0.25 * spec.beta * spec.n * x * x
-    c = spec.potential
-    v = c[-1] + x * 0
-    for ck in c[-2::-1]:
-        v = ck + v * x
-    scale = spec.n if spec.beta in (1, 2) else 2 * spec.n
-    return -scale * v
+    return spec.beta * (new - old) + (spec.log_weight(float(proposal)) - weights[i])
 
 
 _ADAPT_WINDOW = 25
@@ -269,7 +246,7 @@ def sample_mcmc(
     window_acc = np.zeros(n, dtype=int)
     work = np.empty((2, n))
     # The current log-weight of each coordinate changes only on accept.
-    weights = [_log_weight_at(spec, v) for v in x.tolist()]
+    weights = [spec.log_weight(v) for v in x.tolist()]
 
     for sweep in range(steps):
         z = rng.standard_normal(n)
@@ -280,7 +257,7 @@ def sample_mcmc(
             proposal = x[i] + scales[i] * z[i]
             if logu[i] < log_density_diff(spec, x, i, proposal, work, weights):
                 x[i] = proposal
-                weights[i] = _log_weight_at(spec, float(proposal))
+                weights[i] = spec.log_weight(float(proposal))
                 window_acc[i] += 1
                 hits += 1
         if frozen:
@@ -300,25 +277,3 @@ def sample_mcmc(
         state.warnings.append(
             f"mcmc acceptance rate {rate:.3f} outside [0.05, 0.95] after burn-in"
         )
-
-
-def dump_spectra(spectra, path) -> str:
-    """Audit dump ``draw_id,index,eigenvalue``; gzip when above 1e6 rows."""
-    import gzip
-    from pathlib import Path
-
-    rows = ["draw_id,index,eigenvalue"]
-    total = 0
-    for draw_id, values in enumerate(spectra):
-        for idx, val in enumerate(values):
-            rows.append(f"{draw_id},{idx},{format(float(val), '.12g')}")
-            total += 1
-    text = "\n".join(rows) + "\n"
-    path = Path(path)
-    if total > 1_000_000:
-        path = path.with_suffix(path.suffix + ".gz")
-        with gzip.open(path, "wt") as fh:
-            fh.write(text)
-    else:
-        path.write_text(text)
-    return str(path)

@@ -43,7 +43,6 @@ from .ensembles import (
 from .gaps import UniversalSpacingCDF, build_universal_cdf
 from .spacings import (
     RescaledSpectrum,
-    Window,
     alternating_identity_check,
     default_window,
     estimate_density,
@@ -61,11 +60,15 @@ __all__ = [
     "run_identity",
     "run_verify",
     "stream_id",
+    "write_table",
 ]
 
 RESULT_HEADER = "beta,n,draw,window_a,window_delta,A_N,total_mass,node_max,bound,crc"
 
 DRAWS_LIMIT = 2**20
+
+# A table of more rows than this is written gzipped.
+GZIP_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,9 @@ class ExperimentConfig:
             ("node_count", self.node_count, 2, math.inf),
             ("workers", self.workers, 1, math.inf),
         ):
-            if not isinstance(value, Integral) or not least <= value < bound:
+            # bool is an Integral, so JSON true would run as 1 under another digest.
+            integer = isinstance(value, Integral) and not isinstance(value, bool)
+            if not integer or not least <= value < bound:
                 raise ValueError(f"{name} must be an integer in [{least}, {bound}), got {value!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
         # delta = n**exponent must shrink while n*delta grows.
@@ -111,7 +116,8 @@ class ExperimentConfig:
             ("s_max", -math.inf, math.inf),
         ):
             value = getattr(self, name)
-            if not isinstance(value, Real) or not lo < value < hi:
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            if not real or not lo < value < hi:
                 raise ValueError(f"{name} must be a real number in ({lo}, {hi}), got {value!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
@@ -189,24 +195,29 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def _line(*values) -> str:
+    """One CSV line, every value to 12 significant digits (an integer below
+    1e12 reads as ``str`` writes it)."""
+    return ",".join(format(float(v), ".12g") for v in values)
 
 
-def _row_payload(beta, n, draw, window: Window, mass, node_max, bound) -> str:
-    return ",".join(
-        [
-            str(beta),
-            str(n),
-            str(draw),
-            _fmt(window.a),
-            _fmt(window.delta),
-            _fmt(window.size),
-            _fmt(mass),
-            _fmt(node_max),
-            _fmt(bound),
-        ]
-    )
+def write_table(path, header: str, rows) -> Path:
+    """Write ``header`` and one ``_line`` per row of values to ``path``,
+    creating its directory; above GZIP_ROWS rows the file is gzipped to
+    ``path`` + ``.gz``.  Returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [header, *(_line(*row) for row in rows)]
+    text = "\n".join(lines) + "\n"
+    if len(lines) - 1 > GZIP_ROWS:
+        import gzip  # only here: importing it costs every process ~0.1 MB
+
+        path = path.with_suffix(path.suffix + ".gz")
+        with gzip.open(path, "wt") as fh:
+            fh.write(text)
+    else:
+        path.write_text(text)
+    return path
 
 
 def _checksum(payload: str) -> str:
@@ -342,8 +353,9 @@ def _verify_row(config, windows, nodes, task, values) -> str:
     rs = rescale_localize(values, window)
     ecdf = sigma_cdf(rs)
     report = ks_node_distance(ecdf, nodes)
-    payload = _row_payload(
-        config.beta, n, draw, window, ecdf.total_mass, report.node_max, report.bound
+    payload = _line(
+        config.beta, n, draw, window.a, window.delta, window.size,
+        ecdf.total_mass, report.node_max, report.bound,
     )
     return f"{payload},{_checksum(payload)}"
 

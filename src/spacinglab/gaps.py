@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +55,6 @@ __all__ = [
     "series_gap",
     "tail_fit",
     "universal_cdf",
-    "write_cdf_csv",
-    "write_nodes_csv",
 ]
 
 PI = np.pi
@@ -352,10 +349,7 @@ def universal_cdf(curve: GapCurve, m_nodes: int) -> UniversalSpacingCDF:
 
 
 def build_universal_cdf(
-    beta: int,
-    s_max: float = 10.0,
-    m_nodes: int = 100,
-    traj: SigmaTrajectory | None = None,
+    beta: int, s_max: float = 10.0, m_nodes: int = 100
 ) -> UniversalSpacingCDF:
     """Painleve pipeline in one call: trajectory, gap curve, CDF and nodes.
 
@@ -365,9 +359,7 @@ def build_universal_cdf(
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s_max <= S_MAX_LIMIT:
         raise ValueError(f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {s_max:g}")
-    if traj is None:
-        traj = integrate_sigma(2 * PI * s_max)
-    curves = gap_curves(traj, s_max)
+    curves = gap_curves(integrate_sigma(2 * PI * s_max), s_max)
     return universal_cdf(curves[beta], m_nodes)
 
 
@@ -398,28 +390,27 @@ def fredholm_g2(s: float, n: int = 40) -> float:
     return float(np.linalg.det(m))
 
 
-_SERIES_NODES = {1: 1, 2: 16, 3: 12, 4: 8}
+# Gauss-Legendre nodes per axis for each order k >= 2 of the correlation
+# series; its last order is the truncation order.
+_SERIES_NODES = {2: 16, 3: 12, 4: 8}
 
 
-def series_gap(beta: int, s: float, k_max: int = 4) -> float:
+def series_gap(beta: int, s: float) -> float:
     """Truncated correlation-function series for the gap probability.
 
-    G_beta(s) ~ 1 + sum_{k<=k_max} (-1)^k Int_{0<=x_1<=...<=x_k<=s} W_k dx,
+    G_beta(s) ~ 1 + sum_{k<=4} (-1)^k Int_{0<=x_1<=...<=x_k<=s} W_k dx,
     with each ordered-simplex integral evaluated by a tensor-product
     Gauss-Legendre rule mapped onto the simplex (x_j = s t_j t_{j+1}...t_k,
     Jacobian s^k prod t_i^{i-1}), which keeps all quadrature points strictly
-    ordered and away from coincidences.  Truncation error is O(s^{k_max+1}),
-    so the series is only admitted for s <= 1.
+    ordered and away from coincidences.  Truncation error is O(s^5), so the
+    series is only admitted for s <= 1.
     """
     if beta not in (1, 2, 4):
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s <= 1.0:
         raise ValueError("series truncation is only accurate for 0 < s <= 1")
-    if not 1 <= k_max <= 4:
-        raise ValueError("k_max must lie in [1, 4]")
     total = 1.0 - s  # k = 1 term: W_1 == 1
-    for k in range(2, k_max + 1):
-        n = _SERIES_NODES[k]
+    for k, n in _SERIES_NODES.items():
         x, w = np.polynomial.legendre.leggauss(n)
         x = 0.5 * (x + 1.0)
         w = 0.5 * w
@@ -479,29 +470,3 @@ def tail_fit(cdf: UniversalSpacingCDF, window: tuple[float, float] = (2.0, 6.0))
         np.log(cdf.survival[positive]) + rate * cdf.grid[positive] ** 2
     )
     return float(np.exp(max(coeffs[0], log_envelope))), rate
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def write_cdf_csv(cdf: UniversalSpacingCDF, out_dir) -> Path:
-    """Write the tabulated CDF as F_beta{beta}.csv with header ``s,F``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"F_beta{cdf.beta}.csv"
-    lines = ["s,F"]
-    lines += [f"{_fmt(s)},{_fmt(f)}" for s, f in zip(cdf.grid, cdf.cdf)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def write_nodes_csv(cdf: UniversalSpacingCDF, out_dir) -> Path:
-    """Write the quantile nodes as nodes_beta{beta}.csv with header ``i,s``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"nodes_beta{cdf.beta}.csv"
-    lines = ["i,s"]
-    lines += [f"{i + 1},{_fmt(s)}" for i, s in enumerate(cdf.nodes)]
-    path.write_text("\n".join(lines) + "\n")
-    return path

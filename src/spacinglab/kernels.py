@@ -35,7 +35,6 @@ __all__ = [
     "regularized_antideriv4",
     "sinc_antideriv",
     "sinc_deriv",
-    "sine_kernel",
     "skew_kernel_block",
 ]
 
@@ -45,11 +44,6 @@ __all__ = [
 # is only meant to cross-check small k.
 CORR_ORDER_MAX = 8
 EXPANSION_ORDER_MAX = 4
-
-
-def sine_kernel(x, y):
-    """Evaluate sin(pi(x-y))/(pi(x-y)) with the value 1 at coincidence."""
-    return np.sinc(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
 
 def sinc_deriv(z):

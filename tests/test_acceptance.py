@@ -118,7 +118,7 @@ def test_c04_series_vs_painleve(traj):
     worst = 0.0
     for beta in (1, 4):
         for s in (0.2, 0.3, 0.5):
-            diff = abs(series_gap(beta, s, k_max=4) - gap_probability(traj, beta, s))
+            diff = abs(series_gap(beta, s) - gap_probability(traj, beta, s))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3

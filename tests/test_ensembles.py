@@ -9,13 +9,13 @@ from spacinglab.ensembles import (
     SamplerState,
     _semicircle_quantiles,
     dense_goe_matrix,
-    dump_spectra,
     log_density_diff,
     sample_dense_goe,
     sample_mcmc,
     sample_tridiagonal,
     semicircle_density,
 )
+from spacinglab.experiment import write_table
 
 each_beta = pytest.mark.parametrize("beta", [1, 2, 4])
 each_potential = pytest.mark.parametrize(
@@ -179,17 +179,15 @@ class TestMcmc:
         perm = rng.permutation(8)
         i = 3
         prop = x[i] + 0.1
-        d1 = log_density_diff(spec, x, i, prop)
+        d1 = _log_density_diff(spec, x, i, prop)
         xp = x[perm]
-        d2 = log_density_diff(spec, xp, int(np.where(perm == i)[0][0]), prop)
+        d2 = _log_density_diff(spec, xp, int(np.where(perm == i)[0][0]), prop)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_coincident_proposal_rejected(self):
         spec = EnsembleSpec(beta=2, n=4)
         x = np.array([-1.0, 0.0, 1.0, 2.0])
-        assert log_density_diff(spec, x, 0, 1.0) == -np.inf
-        work = np.full((2, 4), 7.0)
-        assert log_density_diff(spec, x, 0, 1.0, work) == -np.inf
+        assert _log_density_diff(spec, x, 0, 1.0) == -np.inf
 
     @each_beta
     @each_potential
@@ -206,28 +204,31 @@ class TestMcmc:
                 i = int(rng.integers(n))
                 proposal = x[i] + rng.normal(0.0, 0.5)
                 expected = _reference_log_density_diff(spec, x, i, proposal)
-                got = log_density_diff(spec, x, i, proposal)
+                weights = [spec.log_weight(v) for v in x.tolist()]
+                got = log_density_diff(spec, x, i, proposal, work, weights)
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-                reused = log_density_diff(spec, x, i, proposal, work)
-                assert np.float64(reused).tobytes() == np.float64(got).tobytes()
 
     @each_beta
     @each_potential
     def test_carried_weights_change_no_value(self, beta, potential):
-        # The chain carries each coordinate's log-weight; reading it from
-        # there must give the value the call computes without it, bit for bit.
+        # A chain computes each coordinate's log-weight once and refreshes it
+        # on accept; over a walk of accepted and rejected moves the carried
+        # weights must give the freshly computed reference, bit for bit.
         rng = np.random.default_rng([beta, 7, len(potential)])
         for n in (2, 9, 33, 150):
             spec = EnsembleSpec(beta=beta, n=n, potential=potential)
             work = np.empty((2, n))
+            x = rng.normal(0.0, 1.5, n)
+            weights = [spec.log_weight(v) for v in x.tolist()]
             for _ in range(40):
-                x = rng.normal(0.0, 1.5, n)
-                weights = spec.log_weight(x).tolist()
                 i = int(rng.integers(n))
                 proposal = x[i] + rng.normal(0.0, 0.5)
-                plain = log_density_diff(spec, x, i, proposal)
                 carried = log_density_diff(spec, x, i, proposal, work, weights)
-                assert np.float64(carried).tobytes() == np.float64(plain).tobytes()
+                fresh = _reference_log_density_diff(spec, x, i, proposal)
+                assert np.float64(carried).tobytes() == np.float64(fresh).tobytes()
+                if rng.random() < 0.5:
+                    x[i] = proposal
+                    weights[i] = spec.log_weight(float(proposal))
 
     @each_beta
     @each_potential
@@ -307,6 +308,20 @@ class TestMcmc:
         assert res.pvalue > 0.01
 
 
+def _log_density_diff(spec, x, i, proposal):
+    """``log_density_diff`` with a fresh buffer and freshly computed weights."""
+    weights = [spec.log_weight(v) for v in x.tolist()]
+    return log_density_diff(spec, x, i, proposal, np.empty((2, x.size)), weights)
+
+
+def _reference_log_weight(spec, x):
+    """The one-point log-weight on an array, by numpy's ``polyval``."""
+    if spec.is_gaussian:
+        return -0.25 * spec.beta * spec.n * x * x
+    scale = spec.n if spec.beta in (1, 2) else 2 * spec.n
+    return -scale * np.polynomial.polynomial.polyval(x, np.asarray(spec.potential))
+
+
 def _reference_log_density_diff(spec, x, i, proposal):
     """One temporary array per term and the array form of the weight."""
     new = np.abs(proposal - x)
@@ -316,7 +331,7 @@ def _reference_log_density_diff(spec, x, i, proposal):
     if np.any(new == 0.0):
         return -np.inf
     rep = np.sum(np.log(new)) - np.sum(np.log(old))
-    w = spec.log_weight(np.array([proposal, x[i]]))
+    w = _reference_log_weight(spec, np.array([proposal, x[i]]))
     return spec.beta * rep + float(w[0] - w[1])
 
 
@@ -359,11 +374,11 @@ def _reference_mcmc(spec, state, steps, burn_in, thin):
 
 
 def test_dump_spectra(tmp_path):
-    path = dump_spectra([np.array([0.1, 0.2]), np.array([-0.3, 0.4])], tmp_path / "s.csv")
-    lines = (tmp_path / "s.csv").read_text().splitlines()
-    assert lines[0] == "draw_id,index,eigenvalue"
-    assert lines[1] == "0,0,0.1"
-    assert len(lines) == 5
+    rows = [(0, 0, 0.1), (0, 1, 0.2), (1, 0, -0.3), (1, 1, np.float64(0.4))]
+    path = write_table(tmp_path / "d" / "s.csv", "draw_id,index,eigenvalue", rows)
+    assert path == tmp_path / "d" / "s.csv"
+    lines = path.read_text().splitlines()
+    assert lines == ["draw_id,index,eigenvalue", "0,0,0.1", "0,1,0.2", "1,0,-0.3", "1,1,0.4"]
 
 
 def test_semicircle_density_shape():

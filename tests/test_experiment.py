@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from spacinglab.experiment import (
     run_identity,
     run_verify,
     stream_id,
+    write_table,
 )
 from spacinglab.gaps import build_universal_cdf
 
@@ -33,8 +35,8 @@ SCHEMA = json.loads(
 
 
 @pytest.fixture
-def tiny_cdf(traj):
-    return build_universal_cdf(2, s_max=6.0, m_nodes=10, traj=traj)
+def tiny_cdf():
+    return build_universal_cdf(2, s_max=6.0, m_nodes=10)
 
 
 def tiny_config(tmp_path, **kw):
@@ -254,8 +256,8 @@ class TestVerifyRun:
         assert health["chains"] == 34
         assert 0.05 < health["min"] <= health["median"] <= health["max"] < 0.95
 
-    def test_complete_resume_draws_no_pilot(self, tmp_path, traj, monkeypatch):
-        cdf = build_universal_cdf(1, s_max=6.0, m_nodes=10, traj=traj)
+    def test_complete_resume_draws_no_pilot(self, tmp_path, monkeypatch):
+        cdf = build_universal_cdf(1, s_max=6.0, m_nodes=10)
         cfg = tiny_config(tmp_path, beta=1, sizes=(16, 32), draws=2, potential=QUARTIC)
         run_verify(cfg, cdf=cdf)
         path = tmp_path / "results_beta1.csv"
@@ -452,8 +454,15 @@ class TestCli:
         assert series == pytest.approx(painleve, abs=1e-3)
 
     def test_gap_usage_errors(self, capsys):
-        assert main(["gap", "--beta", "1", "--s", "2", "--method", "fredholm"]) == 2
-        assert main(["gap", "--beta", "2", "--s", "2", "--method", "series"]) == 2
+        for argv, message in (
+            (["--beta", "1", "--s", "2", "--method", "fredholm"], "beta=2 only"),
+            (["--beta", "2", "--s", "2", "--method", "series"], "s <= 1"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["gap", *argv])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("method", ["painleve", "fredholm", "series"])
     @pytest.mark.parametrize("s", ["nan", "inf", "-1", "0"])
@@ -607,7 +616,10 @@ class TestCli:
         "field",
         [{"workers": 1.5}, {"node_count": "5"}, {"s_max": "10"}, {"window_a": "0"},
          {"window_delta_exponent": "x"}, {"window_delta_exponent": 0.5},
-         {"sizes": [16.5]}, {"sizes": 16}, {"potential": "quartic"}, {"beta": 1.0}],
+         {"sizes": [16.5]}, {"sizes": 16}, {"potential": "quartic"}, {"beta": 1.0},
+         # JSON true is a bool, and bool an Integral: it used to run as 1.
+         {"beta": True}, {"draws": True}, {"seed": True}, {"workers": True},
+         {"window_a": True}, {"s_max": True}],
     )
     def test_bad_config_fails_before_writing(self, tmp_path, capsys, field):
         cfg = tmp_path / "c.json"
@@ -633,3 +645,16 @@ class TestCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         jsonschema.validate(summary, SCHEMA)
+
+
+def test_write_table_gzips_above_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "GZIP_ROWS", 3)
+    rows = [(1, 0.5), (2, 1 / 3), (3, -2.0)]
+    text = "i,s\n1,0.5\n2,0.333333333333\n3,-2\n"
+    at = write_table(tmp_path / "at.csv", "i,s", rows)
+    assert at == tmp_path / "at.csv" and at.read_text() == text
+    above = write_table(tmp_path / "above.csv", "i,s", rows + [(4, 1e-20)])
+    assert above == tmp_path / "above.csv.gz"
+    assert not (tmp_path / "above.csv").exists()
+    with gzip.open(above, "rt") as fh:
+        assert fh.read() == text + "4,1e-20\n"

@@ -11,19 +11,7 @@ from spacinglab.kernels import (
     pfaffian,
     regularized_antideriv4,
     sinc_antideriv,
-    sine_kernel,
 )
-
-
-def test_sine_kernel_diagonal_and_zero():
-    assert sine_kernel(0.5, 0.5) == 1.0
-    assert abs(sine_kernel(1.0, 0.0)) < 1e-15
-
-
-def test_sine_kernel_quarter():
-    # Independent evaluation of sin(pi/4)/(pi/4).
-    expected = math.sin(math.pi / 4) / (math.pi / 4)
-    assert sine_kernel(0.25, 0.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_antideriv_matches_adaptive_quadrature():
