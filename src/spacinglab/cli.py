@@ -33,6 +33,7 @@ from .experiment import (
     load_config,
     run_identity,
     run_verify,
+    write_json,
     write_table,
 )
 from .gaps import (
@@ -142,10 +143,8 @@ def _cmd_verify(args) -> int:
 def _cmd_identity(args) -> int:
     config = _config_from_args(args)
     report = run_identity(config, corrupt=args.corrupt)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     record = {**report, "config_digest": config_hash(config)}
-    (out / "identity.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_json(Path(config.out_dir) / "identity.json", record)
     for v in report["violations"]:
         print(
             f"violation: n={v['n']} draw={v['draw']} jump={v['jump']:.12g} "
@@ -171,7 +170,7 @@ def _cmd_gap(args, parser) -> int:
         span = 2.0 if args.beta == 4 else 1.0
         if span * math.pi * args.s > T_MAX_LIMIT:
             limit = f"{T_MAX_LIMIT / span:g}/pi = {T_MAX_LIMIT / (span * math.pi):.4f}"
-            raise ValueError(
+            parser.error(
                 f"--s must lie in (0, {limit}] for beta={args.beta}, got {args.s:g}"
             )
         traj = integrate_sigma(min(span * math.pi * args.s * 1.001, T_MAX_LIMIT))

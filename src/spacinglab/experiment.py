@@ -60,6 +60,7 @@ __all__ = [
     "run_identity",
     "run_verify",
     "stream_id",
+    "write_json",
     "write_table",
 ]
 
@@ -186,9 +187,7 @@ class RunManifest:
     psi: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> Path:
-        path = Path(out_dir) / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-        return path
+        return write_json(Path(out_dir) / "manifest.json", asdict(self))
 
 
 def _now() -> str:
@@ -217,6 +216,15 @@ def write_table(path, header: str, rows) -> Path:
             fh.write(text)
     else:
         path.write_text(text)
+    return path
+
+
+def write_json(path, obj) -> Path:
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys and a final
+    newline, creating its directory.  Returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -548,9 +556,7 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
             all(b < a for a, b in zip(means, means[1:]))
         ),
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "summary.json", summary)
     return summary
 
 

@@ -24,7 +24,9 @@ neighbouring solution families (linear ones and movable-pole ones) are reached
 by arbitrarily small perturbations.  A marching integrator therefore drifts
 off the connection no matter how small its local error; the trajectory is
 computed here as a two-point boundary value problem instead, collocating
-between the series seed at t0 and the algebraic expansion at the far end.
+between the series seed at t0 and the algebraic expansion at the far end
+(Lobatto IIIA collocation with residual control, solved by Newton steps on
+a banded Jacobian).
 The same solution carries Int v and (1/2) Int sqrt(-v') as two more
 components, so G_1, G_2 and G_4 are read from it without a quadrature table.
 
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .kernels import corr_fn, pfaffian, skew_kernel_block
 
@@ -79,9 +82,12 @@ S_MAX_LIMIT = T_MAX_LIMIT / (2 * PI)
 # slightly negative; anything beyond this clamp is a genuine branch violation.
 RADICAND_CLAMP = 1e-12
 
-# Collocation residual per mesh interval of the sigma-BVP, and the s-step of
-# the tabulated gap curves.
+# Collocation residual per mesh interval of the sigma-BVP, the mesh nodes its
+# refinement may reach and the Newton steps per mesh (the first mesh takes 7),
+# and the s-step of the tabulated gap curves.
 BVP_TOL = 1e-10
+MAX_NODES = 400_000
+NEWTON_STEPS = 10
 GAP_STEP = 1e-3
 
 
@@ -200,13 +206,9 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
 @functools.lru_cache(maxsize=4)
 def _solve(t_far: float, seed_at: float) -> SigmaTrajectory:
     """The sigma-BVP solved between ``seed_at`` and ``t_far``, memoized."""
-    from scipy.integrate import solve_bvp
-
-    seed, far = _seed(seed_at), _asym(t_far)
-
-    def bc(ya, yb):
-        return np.array([ya[0] - seed[0], yb[0] - far[0], ya[2] - seed[4], ya[3] - seed[5]])
-
+    seed = _seed(seed_at)
+    # sigma, Int v and (1/2) Int sqrt(-v') at the seed, sigma at the far end.
+    bc = np.array([seed[0], seed[4], seed[5], _asym(t_far)[0]])
     mesh = np.concatenate(
         [
             np.geomspace(seed_at, 4.0, 200),
@@ -217,22 +219,146 @@ def _solve(t_far: float, seed_at: float) -> SigmaTrajectory:
     # the integrals feed nothing back into sigma, so they can start from zero.
     guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
     y0 = np.vstack([guess, np.zeros((2, mesh.size))])
-    sol = solve_bvp(_sigma_rhs, bc, mesh, y0, tol=BVP_TOL, max_nodes=400000)
-    if sol.status != 0:
-        raise RuntimeError(f"sigma-ODE collocation failed: {sol.message}")
+    tt, y, dense = _collocate(mesh, y0, bc)
 
     # Branch acceptance: radicand sign along the mesh and seed consistency.
-    tt = sol.x
-    sig, sigp = sol.y[:2]
+    sig, sigp = y[:2]
     a = tt * sigp - sig
     rad = (-a) * (a + sigp * sigp)
     if np.any(rad < -RADICAND_CLAMP):
         bad = tt[int(np.argmin(rad))]
-        raise RuntimeError(f"sigma-ODE branch violation at s={bad:g}")
+        raise RuntimeError(f"sigma-ODE branch violation at t={bad:g}")
     near = np.linspace(seed_at, 10 * seed_at, 50)
-    if np.max(np.abs(sol.sol(near)[0] - _seed(near)[0])) > 1e-8:
-        raise RuntimeError(f"sigma-ODE branch violation at s={10 * seed_at:g}")
-    return SigmaTrajectory(t_max=t_far, _dense=sol.sol)
+    if np.max(np.abs(dense(near)[0] - _seed(near)[0])) > 1e-8:
+        raise RuntimeError(f"sigma-ODE branch violation at t={10 * seed_at:g}")
+    return SigmaTrajectory(t_max=t_far, _dense=dense)
+
+
+def _collocate(x, y, bc):
+    """Solve the sigma-BVP from the guess y on the mesh x; returns the final
+    mesh, the values there and the dense solution.
+
+    3-stage Lobatto IIIA collocation with residual control (Kierzenka &
+    Shampine, ACM TOMS 27, 2001): the solution is the C1 cubic through the
+    nodes whose slope matches the rhs at the nodes and interval midpoints.
+    Newton steps, one banded solve each, solve a mesh; each interval's rms
+    residual relative to 1 + |rhs| is then estimated by Lobatto quadrature,
+    and an interval above BVP_TOL gets one node (two from 100 BVP_TOL on)
+    before the next solve.  Raises RuntimeError if Newton does not converge
+    or the mesh would pass MAX_NODES.
+    """
+    while True:
+        h = np.diff(x)
+        # Newton stops 1.5 orders of magnitude below what the rms rule flags.
+        tol_col = (2.0 / 3.0) * h * 5e-2 * BVP_TOL
+        for steps in range(NEWTON_STEPS + 1):
+            res, col, f, y_mid, f_mid = _collocation_residual(x, y, bc)
+            bc_met = np.all(np.abs(res[[0, 1, 2, -1]]) < BVP_TOL)
+            if bc_met and np.all(np.abs(col) < tol_col * (1 + np.abs(f_mid))):
+                break
+            if steps == NEWTON_STEPS:
+                raise RuntimeError(
+                    f"sigma-ODE collocation failed: no Newton convergence on {x.size} nodes"
+                )
+            try:
+                step = solve_banded(_BANDS, _banded_jacobian(x, y, y_mid), res)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
+            y = y - step.reshape(-1, 4).T
+
+        dense = _hermite(x, y, f)
+        # The slope residual is 1.5 col / h at the midpoint and 0 at the nodes.
+        r_mid = np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)
+        mid, off = x[:-1] + 0.5 * h, 0.5 * h * np.sqrt(3 / 7)
+        r_lob = 0.0
+        for t in (mid + off, mid - off):
+            ft = _sigma_rhs(t, dense(t))
+            r_lob = r_lob + np.sum(((dense(t, 1) - ft) / (1 + np.abs(ft))) ** 2, axis=0)
+        rms = np.sqrt(0.5 * (32 / 45 * r_mid + 49 / 90 * r_lob))
+        one = np.flatnonzero((rms > BVP_TOL) & (rms < 100 * BVP_TOL))
+        two = np.flatnonzero(rms >= 100 * BVP_TOL)
+        if one.size + two.size == 0:
+            return x, y, dense
+        if x.size + one.size + 2 * two.size > MAX_NODES:
+            raise RuntimeError(f"sigma-ODE collocation failed: more than {MAX_NODES} nodes")
+        thirds = (2 * x[two] + x[two + 1]) / 3, (x[two] + 2 * x[two + 1]) / 3
+        x = np.sort(np.concatenate([x, 0.5 * (x[one] + x[one + 1]), *thirds]))
+        y = dense(x)
+
+
+def _collocation_residual(x, y, bc):
+    """Every residual in banded order (left conditions, intervals, right
+    condition), with the rhs at the nodes and the midpoint values and rhs."""
+    h = np.diff(x)
+    f = _sigma_rhs(x, y)
+    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - h / 8 * (f[:, 1:] - f[:, :-1])
+    f_mid = _sigma_rhs(x[:-1] + 0.5 * h, y_mid)
+    col = y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid)
+    left = y[[0, 2, 3], 0] - bc[:3]
+    return np.concatenate([left, col.T.ravel(), [y[0, -1] - bc[3]]]), col, f, y_mid, f_mid
+
+
+# Half-widths below and above the diagonal of the collocation Jacobian: with
+# unknowns node by node, interval i's rows 3 + 4i + c see columns 4i..4i + 7.
+_BANDS = (6, 4)
+
+
+def _banded_jacobian(x, y, y_mid):
+    """The collocation Jacobian in ``solve_banded`` storage."""
+    m, h = x.size, np.diff(x)
+    jac, j_mid = _sigma_jac(x, y), _sigma_jac(x[:-1] + 0.5 * h, y_mid)
+    h, eye = h[:, None, None], np.eye(4)
+    # y_mid moves with y_i by I/2 + h/8 J_i and with y_i+1 by I/2 - h/8 J_i+1.
+    d_left = -eye - h / 6 * (jac[:-1] + 4 * j_mid @ (eye / 2 + h / 8 * jac[:-1]))
+    d_right = eye - h / 6 * (jac[1:] + 4 * j_mid @ (eye / 2 - h / 8 * jac[1:]))
+    lower, upper = _BANDS
+    ab = np.zeros((lower + upper + 1, 4 * m))
+    # Entry (row r, column k) is stored at ab[upper + r - k, k].
+    ab[upper, 0] = ab[upper - 1, 2] = ab[upper - 1, 3] = ab[upper + 3, -4] = 1.0
+    for c in range(4):
+        for d in range(4):
+            ab[upper + 3 + c - d, d : -4 : 4] = d_left[:, c, d]
+            ab[upper - 1 + c - d, 4 + d :: 4] = d_right[:, c, d]
+    return ab
+
+
+def _sigma_jac(t, y):
+    """d _sigma_rhs / d y at each column of y, shape (columns, 4, 4); a
+    radicand clamped at zero has a zero derivative, as the clamp does."""
+    s, p = y[0], y[1]
+    a = t * p - s
+    rad = (-a) * (a + p * p)
+    jac = np.zeros((t.size, 4, 4))
+    jac[:, 0, 1] = 1.0
+    # d sigma'' = -d rad / (t sqrt(rad)), d rad = (2a + p^2) ds - ((2a + p^2) t + 2ap) dp.
+    g = np.where(rad > 0, -1.0 / (t * np.sqrt(np.abs(rad))), 0.0)
+    jac[:, 1, 0] = g * (2 * a + p * p)
+    jac[:, 1, 1] = -g * ((2 * a + p * p) * t + 2 * a * p)
+    jac[:, 2, 0] = 1.0 / t
+    # d H' = -d a / (4 t sqrt(-a)).
+    q = np.where(a < 0, 0.25 / (t * np.sqrt(np.abs(a))), 0.0)
+    jac[:, 3, 0], jac[:, 3, 1] = q, -q * t
+    return jac
+
+
+def _hermite(x, y, f):
+    """The cubic Hermite interpolant of values y and slopes f at the nodes x,
+    as ``dense(t)`` or its derivative ``dense(t, 1)``; the end pieces extend
+    past the mesh."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    bend = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
+    coef = np.stack([bend / h, (slope - f[:, :-1]) / h - bend, f[:, :-1], y[:, :-1]])
+
+    def dense(t, derivative=0):
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        d = t - x[i]
+        c3, c2, c1, c0 = np.take(coef, i, axis=-1)  # contiguous, unlike coef[..., i]
+        if derivative:
+            return (3 * c3 * d + 2 * c2) * d + c1
+        return ((c3 * d + c2) * d + c1) * d + c0
+
+    return dense
 
 
 @dataclass(frozen=True)

@@ -421,18 +421,34 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: s_max must lie in")
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # Only the painleve route needs scipy.integrate; it is imported there.
+    def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
+        # The sigma-BVP is solved with numpy and scipy.linalg alone, so neither
+        # importing the CLI nor running universal, gap or verify loads these
+        # subpackages.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(spacinglab.__file__).parents[1]), env.get("PYTHONPATH")])
         )
-        code = "import sys, spacinglab.cli; print('scipy.integrate' in sys.modules)"
+        code = (
+            "import sys, spacinglab.cli as c\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.interpolate')"
+            " if m in sys.modules]\n"
+            "print(loaded())\n"
+            "assert c.main(['universal', '--beta', '1', '--s-max', '10', '--nodes', '10',"
+            f" '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert c.main(['gap', '--beta', '4', '--s', '1.3', '--method', 'painleve']) == 0\n"
+            "assert c.main(['verify', '--sizes', '16', '--draws', '2', '--workers', '1',"
+            f" '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+            "print(loaded())\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True, timeout=60,
         ).stdout
-        assert out.strip() == "False"
+        lines = out.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
 
     def test_gap_tiny_s(self, capsys):
         assert main(["gap", "--beta", "2", "--s", "1e-9"]) == 0
@@ -477,14 +493,17 @@ class TestCli:
 
     def test_gap_past_trajectory_fails(self, capsys):
         # G_beta(s) needs the trajectory at t = pi*s (2*pi*s for beta=4), which
-        # reaches t = 200; the message names --s, the value the user set.
+        # reaches t = 200; the message names --s, the value the user set, and
+        # a flag out of its route's range is a usage error.
         assert main(["gap", "--beta", "4", "--s", "31.8"]) == 0
         capsys.readouterr()
         for beta, s, limit in (("2", "70", "200/pi = 63.6620"), ("4", "40", "100/pi = 31.8310")):
-            assert main(["gap", "--beta", beta, "--s", s]) == 1
+            with pytest.raises(SystemExit) as exc:
+                main(["gap", "--beta", beta, "--s", s])
+            assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == (
+            assert captured.err.endswith(
                 f"error: --s must lie in (0, {limit}] for beta={beta}, got {s}\n"
             )
 

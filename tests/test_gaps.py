@@ -1,6 +1,5 @@
 import contextlib
 import io
-import types
 
 import numpy as np
 import pytest
@@ -10,6 +9,10 @@ from spacinglab import cli, gaps
 from spacinglab.experiment import write_table
 from spacinglab.gaps import (
     SEED_T0,
+    SigmaTrajectory,
+    _asym,
+    _seed,
+    _sigma_rhs,
     _solve,
     build_universal_cdf,
     fredholm_g2,
@@ -260,27 +263,27 @@ class TestSolveOncePerReach:
             assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     def test_failed_solve_is_not_remembered(self, monkeypatch):
-        real = scipy.integrate.solve_bvp
+        real = gaps._collocate
 
-        def failing(*args, **kwargs):
-            return types.SimpleNamespace(status=1, message="mesh nodes exceeded")
+        def failing(*args):
+            raise RuntimeError("sigma-ODE collocation failed: mesh nodes exceeded")
 
         _solve.cache_clear()
-        monkeypatch.setattr(scipy.integrate, "solve_bvp", failing)
+        monkeypatch.setattr(gaps, "_collocate", failing)
         with pytest.raises(RuntimeError, match="collocation failed"):
             integrate_sigma(10.0)
-        monkeypatch.setattr(scipy.integrate, "solve_bvp", real)
+        monkeypatch.setattr(gaps, "_collocate", real)
         assert integrate_sigma(10.0).t_max == 50.0
 
     def test_laws_sequence_solves_twice(self, monkeypatch, tmp_path):
-        real, calls = scipy.integrate.solve_bvp, []
+        real, calls = gaps._collocate, []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2][-1])
-            return real(*args, **kwargs)
+        def counted(mesh, *args):
+            calls.append(mesh[-1])
+            return real(mesh, *args)
 
         _solve.cache_clear()
-        monkeypatch.setattr(scipy.integrate, "solve_bvp", counted)
+        monkeypatch.setattr(gaps, "_collocate", counted)
         argvs = [
             ["universal", "--beta", str(b), "--s-max", "10", "--out", str(tmp_path)]
             for b in (1, 2, 4)
@@ -293,3 +296,49 @@ class TestSolveOncePerReach:
         with contextlib.redirect_stdout(io.StringIO()):
             assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
         assert calls == [2 * PI * 10, 50.0]
+
+
+class TestCollocation:
+    """The numpy collocation solve against scipy's solve_bvp, which implements
+    the same Lobatto IIIA discretization and residual rule."""
+
+    @staticmethod
+    def solve_bvp_trajectory(t_far):
+        # The problem exactly as gaps._solve poses it: bc, mesh and guess.
+        seed, far = _seed(SEED_T0), _asym(t_far)
+
+        def bc(ya, yb):
+            return np.array(
+                [ya[0] - seed[0], yb[0] - far[0], ya[2] - seed[4], ya[3] - seed[5]]
+            )
+
+        mesh = np.concatenate(
+            [
+                np.geomspace(SEED_T0, 4.0, 200),
+                np.linspace(4.02, t_far, max(600, int(12 * t_far))),
+            ]
+        )
+        guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
+        y0 = np.vstack([guess, np.zeros((2, mesh.size))])
+        # gaps.BVP_TOL, written out so that loosening it there shows here.
+        sol = scipy.integrate.solve_bvp(
+            _sigma_rhs, bc, mesh, y0, tol=1e-10, max_nodes=400000
+        )
+        assert sol.status == 0, sol.message
+        return SigmaTrajectory(t_max=t_far, _dense=sol.sol)
+
+    @pytest.mark.parametrize("t_far", [50.0, 2 * PI * 10, 140.0])
+    def test_matches_solve_bvp(self, t_far):
+        t = np.linspace(0.0, t_far, 5001)
+        ours = integrate_sigma(t_far).at(t)
+        theirs = self.solve_bvp_trajectory(t_far).at(t)
+        for name in ours._fields:
+            diff = np.max(np.abs(getattr(ours, name) - getattr(theirs, name)))
+            assert diff <= 1e-11, (name, diff)
+
+    @pytest.mark.parametrize("cap", [("MAX_NODES", 1000), ("NEWTON_STEPS", 2)])
+    def test_exhausted_solve_raises(self, monkeypatch, cap):
+        # The first mesh at t = 50 has 800 nodes and needs 7 Newton steps.
+        monkeypatch.setattr(gaps, *cap)
+        with pytest.raises(RuntimeError, match="collocation failed"):
+            _solve.__wrapped__(50.0, SEED_T0)
