@@ -9,10 +9,8 @@ machinery needed to verify their agreement at finite matrix size.
 __version__ = "0.1.0"
 
 from .ensembles import (
-    CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
-    sample_dense_goe,
     sample_mcmc,
     sample_tridiagonal,
     semicircle_density,
@@ -27,38 +25,30 @@ from .gaps import (
     gap_probability,
     integrate_sigma,
     series_gap,
-    tail_fit,
     universal_cdf,
 )
 from .kernels import (
     MatrixKernelValue,
     corr_fn,
-    corr_fn_expansion,
     matrix_kernel,
     pfaffian,
-    regularized_antideriv4,
 )
 from .spacings import (
     EmpiricalSpacingCDF,
-    GammaCounts,
     KSReport,
     RescaledSpectrum,
     Window,
     alternating_identity_check,
     default_window,
     estimate_density,
-    gamma_cdf,
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
-    variance_diagnostic,
 )
 
 __all__ = [
-    "CENTER_DENSITY",
     "EmpiricalSpacingCDF",
     "EnsembleSpec",
-    "GammaCounts",
     "GapCurve",
     "KSReport",
     "MatrixKernelValue",
@@ -70,26 +60,20 @@ __all__ = [
     "alternating_identity_check",
     "build_universal_cdf",
     "corr_fn",
-    "corr_fn_expansion",
     "default_window",
     "estimate_density",
     "fredholm_g2",
-    "gamma_cdf",
     "gap_curves",
     "gap_probability",
     "integrate_sigma",
     "ks_node_distance",
     "matrix_kernel",
     "pfaffian",
-    "regularized_antideriv4",
     "rescale_localize",
-    "sample_dense_goe",
     "sample_mcmc",
     "sample_tridiagonal",
     "semicircle_density",
     "series_gap",
     "sigma_cdf",
-    "tail_fit",
     "universal_cdf",
-    "variance_diagnostic",
 ]

@@ -1,13 +1,11 @@
 """Eigenvalue samplers for invariant Hermite-type ensembles.
 
-Three routes to the joint eigenvalue law with Vandermonde repulsion |Delta|^beta:
+Two routes to the joint eigenvalue law with Vandermonde repulsion |Delta|^beta:
 
 * a tridiagonal model (Gaussian potential only): Gaussian diagonal,
   chi-distributed off-diagonal with decreasing degrees of freedom, whose
   eigenvalue density is the beta-ensemble law at any beta > 0, solved by a
   symmetric tridiagonal eigensolver in O(n^2);
-* a dense GOE construction (beta=1) as a distributional cross-check of the
-  tridiagonal route;
 * Metropolis-within-Gibbs on the log-gas density for general even polynomial
   confinement.
 
@@ -31,21 +29,12 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
-    "CENTER_DENSITY",
-    "DENSE_SIZE_CAP",
     "EnsembleSpec",
     "SamplerState",
-    "dense_goe_matrix",
-    "sample_dense_goe",
     "sample_mcmc",
     "sample_tridiagonal",
     "semicircle_density",
 ]
-
-# Semicircle density on [-2, 2]; its value at the centre of the spectrum.
-CENTER_DENSITY = 1.0 / np.pi
-
-DENSE_SIZE_CAP = 2000
 
 GAUSSIAN = "gaussian"
 
@@ -151,26 +140,6 @@ def sample_tridiagonal(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
     off = np.sqrt(rng.chisquare(dof)) * scale
     # sterf returns the eigenvalues in ascending order.
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-
-
-def dense_goe_matrix(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
-    """Dense symmetric Gaussian matrix whose eigenvalue law matches the
-    beta=1 tridiagonal sampler (off-diagonal variance 1/n, diagonal 2/n)."""
-    if spec.beta != 1:
-        raise ValueError("dense sampler is the beta=1 validation path")
-    if not spec.is_gaussian:
-        raise ValueError("dense sampler requires a Gaussian potential")
-    if spec.n > DENSE_SIZE_CAP:
-        raise ValueError(f"dense sampler capped at n={DENSE_SIZE_CAP}")
-    rng = state.generator()
-    g = rng.standard_normal((spec.n, spec.n))
-    return (g + g.T) / np.sqrt(2.0 * spec.n)
-
-
-def sample_dense_goe(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
-    """Spectrum of the dense GOE matrix (Householder reduction plus
-    tridiagonal eigensolve inside LAPACK's symmetric driver)."""
-    return np.sort(np.linalg.eigvalsh(dense_goe_matrix(spec, state)))
 
 
 def _semicircle_quantiles(n: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from .ensembles import (
     sample_tridiagonal,
     semicircle_density,
 )
-from .gaps import UniversalSpacingCDF, build_universal_cdf
+from .gaps import GAP_STEP, S_MAX_LIMIT, UniversalSpacingCDF, build_universal_cdf
 from .spacings import (
     RescaledSpectrum,
     alternating_identity_check,
@@ -110,9 +110,13 @@ class ExperimentConfig:
             if not integer or not least <= value < bound:
                 raise ValueError(f"{name} must be an integer in [{least}, {bound}), got {value!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        spec = EnsembleSpec(beta=self.beta, n=sizes[0], potential=self.potential)
+        object.__setattr__(self, "potential", spec.potential)
+        # A Gaussian window centre must lie inside the semicircle's support;
         # delta = n**exponent must shrink while n*delta grows.
+        edge = 2 if spec.is_gaussian else math.inf
         for name, lo, hi in (
-            ("window_a", -math.inf, math.inf),
+            ("window_a", -edge, edge),
             ("window_delta_exponent", -1, 0),
             ("s_max", -math.inf, math.inf),
         ):
@@ -120,10 +124,13 @@ class ExperimentConfig:
             real = isinstance(value, Real) and not isinstance(value, bool)
             if not real or not lo < value < hi:
                 raise ValueError(f"{name} must be a real number in ({lo}, {hi}), got {value!r}")
+        # The universal law is tabulated only as far as the trajectory reaches.
+        if not 0 < self.s_max <= S_MAX_LIMIT:
+            raise ValueError(
+                f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {self.s_max!r}"
+            )
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        spec = EnsembleSpec(beta=self.beta, n=sizes[0], potential=self.potential)
-        object.__setattr__(self, "potential", spec.potential)
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -296,10 +303,7 @@ def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
     """Bulk density at the window centre: analytic for the Gaussian
     convention, pooled estimate over the pilot spectra otherwise."""
     if not pilot:
-        psi = float(semicircle_density(config.window_a))
-        if psi <= 0:
-            raise ValueError("window centre outside the semicircle bulk")
-        return psi
+        return float(semicircle_density(config.window_a))
     try:
         return estimate_density(pilot, config.window_a, bandwidth=PILOT_BANDWIDTH)
     except ValueError as exc:
@@ -472,7 +476,18 @@ def run_verify(
     dict.  The summary reports, per size, the mean Kolmogorov-distance bound
     with a normal-approximation confidence interval, plus the verdict on
     whether the mean bound decreases strictly with the matrix size.
+
+    A given ``cdf`` must be the config's law: its beta, node count and
+    grid end (s_max, to within GAP_STEP/2), else nothing is written.
     """
+    if cdf is None:
+        cdf = build_universal_cdf(config.beta, s_max=config.s_max, m_nodes=config.node_count)
+    law = (cdf.beta, cdf.node_count, float(cdf.grid[-1]))
+    wanted = (config.beta, config.node_count, config.s_max)
+    if law[:2] != wanted[:2] or not abs(law[2] - wanted[2]) <= GAP_STEP / 2:
+        raise ValueError(
+            f"universal CDF (beta, node count, s_max) = {law} does not match the config's {wanted}"
+        )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -494,13 +509,6 @@ def run_verify(
 
 
 def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_psi) -> dict:
-    if cdf is None:
-        cdf = build_universal_cdf(
-            config.beta, s_max=config.s_max, m_nodes=config.node_count
-        )
-    if cdf.node_count != config.node_count:
-        raise ValueError("universal CDF node count does not match the config")
-
     result_path = out / f"results_beta{config.beta}.csv"
     done = _read_completed(result_path)
     if done:

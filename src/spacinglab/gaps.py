@@ -37,7 +37,6 @@ truncated correlation-function series for all beta (small s).
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,7 +55,6 @@ __all__ = [
     "gap_probability",
     "integrate_sigma",
     "series_gap",
-    "tail_fit",
     "universal_cdf",
 ]
 
@@ -175,8 +173,8 @@ class SigmaTrajectory:
         return Lookup(*rows)
 
 
-def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
-    """Solve the sigma-form ODE, with the two gap integrals, on [seed_at, t_max].
+def integrate_sigma(t_max: float) -> SigmaTrajectory:
+    """Solve the sigma-form ODE, with the two gap integrals, on [SEED_T0, t_max].
 
     The boundary conditions pin the cubic series values of sigma and of both
     integrals at the seed and the algebraic expansion value of sigma at the
@@ -186,19 +184,14 @@ def integrate_sigma(t_max: float, seed_at: float = SEED_T0) -> SigmaTrajectory:
     the seed series on [t0, 10 t0] and against the positivity of both
     square-root radicands before being accepted.
 
-    The solution depends only on the far end and the seed point, so one
-    process solves each such pair once: every t_max up to 50 shares the
-    t = 50 solve, and a repeated call returns the same (frozen) trajectory.
+    The solution depends only on the far end, so one process solves each
+    far end once: every t_max up to 50 shares the t = 50 solve, and a
+    repeated call returns the same (frozen) trajectory.
     A failed solve raises and is not remembered.
-
-    ``seed_at`` exists so consistency under re-seeding (e.g. at 2 t0) can be
-    exercised; production use keeps the default.
     """
     if not 0.0 < t_max <= T_MAX_LIMIT:
         raise ValueError(f"t_max must lie in (0, {T_MAX_LIMIT:g}]")
-    if not SEED_T0 <= seed_at <= 0.1:
-        raise ValueError("seed point must lie in [SEED_T0, 0.1]")
-    return _solve(max(float(t_max), _T_FAR_MIN), float(seed_at))
+    return _solve(max(float(t_max), _T_FAR_MIN), SEED_T0)
 
 
 # A process reads a few reaches at most (t = 50 and 2 pi s_max); the bound
@@ -561,38 +554,3 @@ def series_gap(beta: int, s: float) -> float:
             vals = pfaffian(skew_kernel_block(beta, pts))
         total += (-1.0) ** k * float(s**k * np.sum(weight.ravel() * vals))
     return total
-
-
-def tail_fit(cdf: UniversalSpacingCDF, window: tuple[float, float] = (2.0, 6.0)):
-    """Gaussian-tail fit of the spacing distribution.
-
-    The decay rate B is the negative least-squares slope of log(1 - F)
-    against s^2 over the window.  The prefactor A is the smallest constant
-    for which 1 - F(s) <= A exp(-B s^2) holds on the whole tabulated grid
-    (never below the fitted intercept); because 1 - F(0) = 1 this forces
-    A >= 1, matching the envelope normalization.  If 1 - F underflows inside
-    the window the fit is restricted to the usable part with a warning.
-    """
-    lo, hi = window
-    if cdf.grid[-1] < hi:
-        raise ValueError(f"CDF grid must reach s={hi}")
-    mask = (cdf.grid >= lo) & (cdf.grid <= hi)
-    tail = cdf.survival[mask]
-    s = cdf.grid[mask]
-    usable = tail > 1e-290
-    if not np.all(usable):
-        warnings.warn(
-            f"1-F underflows before s={hi:g}; tail fit window restricted",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        s, tail = s[usable], tail[usable]
-    if s.size < 8:
-        raise ValueError("tail fit window contains too few usable points")
-    coeffs = np.polynomial.polynomial.polyfit(s**2, np.log(tail), 1)
-    rate = float(-coeffs[1])
-    positive = cdf.survival > 0
-    log_envelope = np.max(
-        np.log(cdf.survival[positive]) + rate * cdf.grid[positive] ** 2
-    )
-    return float(np.exp(max(coeffs[0], log_envelope))), rate

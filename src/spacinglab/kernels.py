@@ -5,8 +5,7 @@ bulk; the orthogonal (beta=1) and symplectic (beta=4) bulks are governed by a
 2x2 matrix kernel whose entries are the sine kernel, its derivative, and its
 antiderivative (with a sign correction for beta=1).  The k-point correlation
 functions are determinants (beta=2) or Pfaffians (beta=1,4) built from these
-entries; a brute-force cyclic-product expansion of the Pfaffian form is kept
-as an independent oracle.
+entries.
 
 The one kernel-block builder (the skew block), the Pfaffian and corr_fn
 take a leading batch axis: a stack of point sets of shape (..., k) is
@@ -18,32 +17,25 @@ All functions here are pure; there is no shared mutable state.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import sici
 
 __all__ = [
     "CORR_ORDER_MAX",
-    "EXPANSION_ORDER_MAX",
     "MatrixKernelValue",
     "corr_fn",
-    "corr_fn_expansion",
     "matrix_kernel",
     "pfaffian",
-    "regularized_antideriv4",
     "sinc_antideriv",
     "sinc_deriv",
     "skew_kernel_block",
 ]
 
-# Practical caps: the Pfaffian route costs O((2k)^3) per point set, vectorised
-# over a batch of point sets, and needs one antiderivative per entry; the
-# expansion sums over set partitions, block bijections and 2^k index words and
-# is only meant to cross-check small k.
+# Practical cap: the Pfaffian route costs O((2k)^3) per point set, vectorised
+# over a batch of point sets, and needs one antiderivative per entry.
 CORR_ORDER_MAX = 8
-EXPANSION_ORDER_MAX = 4
 
 
 def sinc_deriv(z):
@@ -113,20 +105,6 @@ def matrix_kernel(beta: int, x, y):
     if np.ndim(r) == 0:
         return MatrixKernelValue(float(s), float(d), float(i))
     return MatrixKernelValue(s, d, i)
-
-
-def regularized_antideriv4(u: float, v: float, x, y):
-    """beta=4 antiderivative entry at shifted arguments, recentred to decay.
-
-    Returns I4(x+u, y+v) - 1/4 for y < x and I4(x+u, y+v) + 1/4 for y >= x.
-    The shift by -sgn(x-y)/4 removes the limits +-1/4 at x-y -> +-infinity,
-    leaving an O(1/|x-y|) tail that is square integrable in x uniformly in y.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = matrix_kernel(4, x + u, y + v).antideriv
-    out = np.where(y < x, base - 0.25, base + 0.25)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def pfaffian(a: np.ndarray):
@@ -220,89 +198,3 @@ def corr_fn(beta: int, points):
     else:
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     return float(out) if pts.ndim == 1 else out
-
-
-def _set_partitions(items: list) -> Iterator[list[list]]:
-    """All partitions of ``items`` into non-empty unordered blocks."""
-    if len(items) == 1:
-        yield [items]
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-        yield [[head]] + part
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _cycle_block_sum(beta: int, pts: np.ndarray, block: Sequence[int]) -> float:
-    """Sum over all bijections of a block of the traced cyclic kernel product.
-
-    For a block of size p this is (1/2p) * sum over orderings of
-    tr(K(t_{s1},t_{s2}) K(t_{s2},t_{s3}) ... K(t_{sp},t_{s1})); the trace
-    carries out the sum over the 2^p entry-index words of the chain.
-    """
-    p = len(block)
-    acc = 0.0
-    for order in itertools.permutations(block):
-        chain = np.eye(2)
-        for r in range(p):
-            a, b = order[r], order[(r + 1) % p]
-            s, d, i = matrix_kernel(beta, pts[a], pts[b])
-            chain = chain @ np.array([[s, d], [i, s]])
-        acc += chain[0, 0] + chain[1, 1]
-    return acc / (2.0 * p)
-
-
-def corr_fn_expansion(beta: int, points: Sequence[float]) -> float:
-    """Brute-force evaluation of the k-point correlation function.
-
-    For beta=1,4 this sums over all set partitions of the points, all
-    bijections of each block and all entry-index words, forming cyclic
-    products of matrix-kernel factors with sign (-1)^(k - #blocks); it is
-    the combinatorial expansion underlying the Pfaffian formula and serves
-    as the oracle for corr_fn.  For beta=2 the Leibniz sum over permutations
-    of the sine-kernel determinant plays the same role.
-
-    Cost is super-exponential in k, hence the small cap.
-    """
-    pts = np.asarray(points, dtype=float)
-    k = pts.size
-    if k < 1:
-        raise ValueError("at least one point is required")
-    if k > EXPANSION_ORDER_MAX:
-        raise ValueError("correlation order too large")
-    if beta == 2:
-        total = 0.0
-        for perm in itertools.permutations(range(k)):
-            term = _permutation_sign(perm)
-            for i in range(k):
-                term *= np.sinc(pts[i] - pts[perm[i]])
-            total += term
-        return float(total)
-    if beta not in (1, 4):
-        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
-    total = 0.0
-    for partition in _set_partitions(list(range(k))):
-        m = len(partition)
-        prod = 1.0
-        for block in partition:
-            prod *= _cycle_block_sum(beta, pts, sorted(block))
-        total += (-1.0) ** (k - m) * prod
-    return total

@@ -30,20 +30,16 @@ import numpy as np
 
 __all__ = [
     "EmpiricalSpacingCDF",
-    "GammaCounts",
     "IdentityReport",
     "KSReport",
     "RescaledSpectrum",
-    "VarianceScalingReport",
     "Window",
     "alternating_identity_check",
     "default_window",
     "estimate_density",
-    "gamma_cdf",
     "ks_node_distance",
     "rescale_localize",
     "sigma_cdf",
-    "variance_diagnostic",
 ]
 
 DEFAULT_DELTA_EXPONENT = -0.6
@@ -163,32 +159,6 @@ def sigma_cdf(rs: RescaledSpectrum) -> EmpiricalSpacingCDF:
     )
 
 
-@dataclass(frozen=True)
-class GammaCounts:
-    """Span counting measure for k-tuples with endpoints inside the window.
-
-    ``spans`` are the pairwise endpoint distances in increasing order and
-    ``multiplicities`` the exact integer number of k-tuples with that pair of
-    endpoints; heights of the normalized step function are integers / |A|.
-    """
-
-    k: int
-    spans: np.ndarray
-    multiplicities: np.ndarray  # object array of Python ints, exact
-    window_size: float
-
-    def count_at(self, s: float) -> int:
-        idx = int(np.searchsorted(self.spans, s, side="right"))
-        return int(sum(self.multiplicities[:idx], 0))
-
-    def evaluate(self, s):
-        if np.ndim(s) == 0:
-            return self.count_at(float(s)) / self.window_size
-        cum = np.concatenate([[0], np.cumsum(self.multiplicities.astype(float))])
-        idx = np.searchsorted(self.spans, s, side="right")
-        return cum[idx] / self.window_size
-
-
 def _pair_data(inside: np.ndarray):
     """All endpoint pairs (i < j) as (span, interior count) arrays, in
     increasing span order; equal spans keep their (i, j) order."""
@@ -196,26 +166,6 @@ def _pair_data(inside: np.ndarray):
     spans = inside[j] - inside[i]
     order = np.argsort(spans, kind="stable")
     return spans[order], (j - i - 1)[order]
-
-
-def gamma_cdf(k: int, rs: RescaledSpectrum) -> GammaCounts:
-    """Counting measure of k-tuple spans, k >= 2.
-
-    Only the two endpoints are constrained to the window; because the
-    eigenvalues are sorted, every index strictly between the endpoints is
-    automatically inside, so a pair at positional distance g+1 carries
-    binom(g, k-2) tuples.  Cost O(p^2) over the p inside eigenvalues.
-    """
-    if k < 2:
-        raise ValueError("tuple order k must be at least 2")
-    spans, gaps = _pair_data(rs.inside)
-    keep = gaps >= k - 2
-    return GammaCounts(
-        k=k,
-        spans=spans[keep],
-        multiplicities=np.array([math.comb(int(g), k - 2) for g in gaps[keep]], dtype=object),
-        window_size=rs.window.size,
-    )
 
 
 @dataclass(frozen=True)
@@ -310,76 +260,4 @@ def ks_node_distance(ecdf: EmpiricalSpacingCDF, nodes) -> KSReport:
         node_max=node_max,
         mass_defect=mass_defect,
         bound=1.0 / m + node_max + mass_defect,
-    )
-
-
-@dataclass(frozen=True)
-class VarianceScalingReport:
-    """Log-log scaling of the span-count variance against window length."""
-
-    sizes: tuple
-    window_sizes: np.ndarray
-    variances: np.ndarray
-    slope: float
-    slope_ci: tuple
-
-
-def variance_diagnostic(
-    draws_by_size,
-    k: int,
-    alpha: float,
-    bootstrap: int = 200,
-    rng=None,
-    min_draws: int = 100,
-) -> VarianceScalingReport:
-    """Empirical variance of the k-tuple span count up to alpha, across sizes.
-
-    For each matrix size the variance of the normalized count over draws is
-    regressed (log-log) against the rescaled window length; the expected
-    decay is one over the window length.  The slope's confidence interval
-    comes from a per-size bootstrap over draws.
-    """
-    if k < 2:
-        raise ValueError("tuple order k must be at least 2")
-    sizes = sorted(draws_by_size)
-    if len(sizes) < 2:
-        raise ValueError("need at least two matrix sizes")
-    rng = np.random.default_rng(rng)
-    window_sizes = []
-    samples = []
-    for n in sizes:
-        draws = draws_by_size[n]
-        if len(draws) < min_draws:
-            raise ValueError(f"need at least {min_draws} draws per size, n={n}")
-        vals = np.array([gamma_cdf(k, rs).evaluate(alpha) for rs in draws])
-        samples.append(vals)
-        window_sizes.append(draws[0].window.size)
-    window_sizes = np.array(window_sizes)
-    variances = np.array([v.var(ddof=1) for v in samples])
-
-    def fit(vs):
-        if np.any(vs <= 0):
-            return float("nan")
-        return float(np.polynomial.polynomial.polyfit(
-            np.log(window_sizes), np.log(vs), 1
-        )[1])
-
-    slope = fit(variances)
-    boots = []
-    for _ in range(bootstrap):
-        resampled = np.array(
-            [v[rng.integers(0, v.size, v.size)].var(ddof=1) for v in samples]
-        )
-        boots.append(fit(resampled))
-    boots = np.asarray(boots, dtype=float)
-    if np.all(np.isfinite(boots)):
-        ci = (float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5)))
-    else:
-        ci = (float("nan"), float("nan"))
-    return VarianceScalingReport(
-        sizes=tuple(sizes),
-        window_sizes=window_sizes,
-        variances=variances,
-        slope=slope,
-        slope_ci=ci,
     )

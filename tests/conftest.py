@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import CENTER_DENSITY
 from spacinglab import (
-    CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
     default_window,

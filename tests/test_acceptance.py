@@ -13,13 +13,12 @@ import pytest
 from scipy import stats
 
 from conftest import gue_window
+from oracles import CENTER_DENSITY, corr_fn_expansion, tail_fit, variance_diagnostic
 from spacinglab import (
-    CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
     Window,
     corr_fn,
-    corr_fn_expansion,
     default_window,
     fredholm_g2,
     gap_probability,
@@ -31,12 +30,10 @@ from spacinglab import (
     sample_tridiagonal,
     series_gap,
     sigma_cdf,
-    tail_fit,
     universal_cdf,
 )
 from spacinglab.experiment import stream_id
 from spacinglab.gaps import SEED_T0
-from spacinglab.spacings import variance_diagnostic
 
 PI = np.pi
 SEED = 0

@@ -3,14 +3,12 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from oracles import CENTER_DENSITY, dense_goe_matrix, sample_dense_goe
 from spacinglab.ensembles import (
-    CENTER_DENSITY,
     EnsembleSpec,
     SamplerState,
     _semicircle_quantiles,
-    dense_goe_matrix,
     log_density_diff,
-    sample_dense_goe,
     sample_mcmc,
     sample_tridiagonal,
     semicircle_density,

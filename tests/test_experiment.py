@@ -314,6 +314,14 @@ class TestVerifyRun:
         with pytest.raises(ValueError, match="node count"):
             run_verify(cfg, cdf=tiny_cdf)
 
+    @pytest.mark.parametrize("field", [{"beta": 1}, {"s_max": 8.0}])
+    def test_cdf_of_another_law_writes_nothing(self, tmp_path, tiny_cdf, field):
+        # A beta=2 law would score a beta=1 run against F_2 under beta 1's digest.
+        out = tmp_path / "d"
+        with pytest.raises(ValueError, match="does not match the config"):
+            run_verify(tiny_config(out, **field), cdf=tiny_cdf)
+        assert not out.exists()
+
 
 class TestIdentityRun:
     def test_clean_run_has_no_violations(self, tmp_path):
@@ -638,7 +646,9 @@ class TestCli:
          {"sizes": [16.5]}, {"sizes": 16}, {"potential": "quartic"}, {"beta": 1.0},
          # JSON true is a bool, and bool an Integral: it used to run as 1.
          {"beta": True}, {"draws": True}, {"seed": True}, {"workers": True},
-         {"window_a": True}, {"s_max": True}],
+         {"window_a": True}, {"s_max": True},
+         # Past the trajectory's reach, below zero, outside the semicircle.
+         {"s_max": 40}, {"s_max": -1}, {"window_a": 3.0}],
     )
     def test_bad_config_fails_before_writing(self, tmp_path, capsys, field):
         cfg = tmp_path / "c.json"
@@ -668,10 +678,11 @@ class TestCli:
 
 def test_write_table_gzips_above_threshold(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "GZIP_ROWS", 3)
-    rows = [(1, 0.5), (2, 1 / 3), (3, -2.0)]
+    # A numpy scalar is written like a float, into a directory made for it.
+    rows = [(1, 0.5), (2, 1 / 3), (3, np.float64(-2.0))]
     text = "i,s\n1,0.5\n2,0.333333333333\n3,-2\n"
-    at = write_table(tmp_path / "at.csv", "i,s", rows)
-    assert at == tmp_path / "at.csv" and at.read_text() == text
+    at = write_table(tmp_path / "new" / "at.csv", "i,s", rows)
+    assert at == tmp_path / "new" / "at.csv" and at.read_text() == text
     above = write_table(tmp_path / "above.csv", "i,s", rows + [(4, 1e-20)])
     assert above == tmp_path / "above.csv.gz"
     assert not (tmp_path / "above.csv").exists()

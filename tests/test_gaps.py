@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from oracles import tail_fit
 from spacinglab import cli, gaps
 from spacinglab.experiment import write_table
 from spacinglab.gaps import (
@@ -20,7 +21,6 @@ from spacinglab.gaps import (
     gap_probability,
     integrate_sigma,
     series_gap,
-    tail_fit,
     universal_cdf,
 )
 
@@ -65,7 +65,7 @@ class TestSigmaTrajectory:
         assert np.all(np.diff(sigma) < 0)
 
     def test_reseeding_consistency(self, traj):
-        other = integrate_sigma(20.0, seed_at=2 * SEED_T0)
+        other = _solve(50.0, 2 * SEED_T0)
         t = np.linspace(2 * SEED_T0, 15.0, 500)
         assert np.max(np.abs(other.at(t).sigma - traj.at(t).sigma)) <= 1e-8
 

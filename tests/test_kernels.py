@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import corr_fn_expansion, regularized_antideriv4
 from spacinglab.kernels import (
     corr_fn,
-    corr_fn_expansion,
     matrix_kernel,
     pfaffian,
-    regularized_antideriv4,
     sinc_antideriv,
 )
 

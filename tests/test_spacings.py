@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import gue_window
+from oracles import CENTER_DENSITY, gamma_cdf, variance_diagnostic
 from spacinglab import spacings
-from spacinglab.ensembles import CENTER_DENSITY, EnsembleSpec, SamplerState, sample_tridiagonal
+from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_tridiagonal
 from spacinglab.spacings import (
     EmpiricalSpacingCDF,
     IdentityReport,
@@ -16,11 +17,9 @@ from spacinglab.spacings import (
     alternating_identity_check,
     default_window,
     estimate_density,
-    gamma_cdf,
     ks_node_distance,
     rescale_localize,
     sigma_cdf,
-    variance_diagnostic,
 )
 
 
