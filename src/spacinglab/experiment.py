@@ -6,9 +6,11 @@ the single result writer appends each row in task order as it is scored, so
 reruns are byte identical regardless of worker count and a killed run keeps
 the rows before it; a resume that fills a hole rewrites the file in task
 order.  Every (size, draw) spectrum is drawn once, by
-``_draw_spectrum``: for a non-Gaussian potential the first min(32, draws)
-spectra of a size feed the density pilot and are then scored as that size's
-first rows.  ``verify`` and ``identity`` share that pilot/window plan.
+``_draw_spectrum``.  One plan, ``_plan``, places each size's window for
+``verify`` and ``identity``: its density psi is known (the semicircle value
+for the Gaussian convention, or the value a resumed run's manifest recorded)
+or else estimated from the size's pilot, its first min(32, draws) spectra,
+which are then scored as that size's first rows.
 Result CSVs are append-only with a per-row checksum.  One output directory
 holds one config: a run into a directory with any result file must carry the
 config digest of the manifest written before the first row; it then
@@ -42,6 +44,7 @@ from .ensembles import (
 )
 from .gaps import GAP_STEP, S_MAX_LIMIT, UniversalSpacingCDF, build_universal_cdf
 from .spacings import (
+    DEFAULT_DELTA_EXPONENT,
     RescaledSpectrum,
     alternating_identity_check,
     default_window,
@@ -81,7 +84,7 @@ class ExperimentConfig:
     draws: int = 200
     potential: object = "gaussian"
     window_a: float = 0.0
-    window_delta_exponent: float = -0.6
+    window_delta_exponent: float = DEFAULT_DELTA_EXPONENT
     node_count: int = 50
     s_max: float = 10.0
     seed: int = 0
@@ -109,6 +112,9 @@ class ExperimentConfig:
             integer = isinstance(value, Integral) and not isinstance(value, bool)
             if not integer or not least <= value < bound:
                 raise ValueError(f"{name} must be an integer in [{least}, {bound}), got {value!r}")
+        # Rows are keyed by (n, draw): a repeated size would score its rows twice.
+        if len(set(sizes)) < len(sizes):
+            raise ValueError(f"sizes must be distinct, got {self.sizes!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
         spec = EnsembleSpec(beta=self.beta, n=sizes[0], potential=self.potential)
         object.__setattr__(self, "potential", spec.potential)
@@ -143,9 +149,6 @@ def canonical_json(config: ExperimentConfig) -> str:
     payload = asdict(config)
     payload.pop("out_dir")
     payload.pop("workers")
-    payload["sizes"] = list(config.sizes)
-    if not isinstance(config.potential, str):
-        payload["potential"] = list(config.potential)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -293,17 +296,8 @@ PILOT_DRAWS = 32
 PILOT_BANDWIDTH = 0.1
 
 
-def _pilot_count(config: ExperimentConfig) -> int:
-    """Draws per size whose spectra feed the density pilot: the first
-    min(32, draws), and none for the Gaussian convention."""
-    return 0 if isinstance(config.potential, str) else min(PILOT_DRAWS, config.draws)
-
-
 def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
-    """Bulk density at the window centre: analytic for the Gaussian
-    convention, pooled estimate over the pilot spectra otherwise."""
-    if not pilot:
-        return float(semicircle_density(config.window_a))
+    """Bulk density at the window centre, pooled over the pilot spectra."""
     try:
         return estimate_density(pilot, config.window_a, bandwidth=PILOT_BANDWIDTH)
     except ValueError as exc:
@@ -332,28 +326,6 @@ def _draw_spectrum(config: ExperimentConfig, task):
     for last in chain:
         pass
     return last, (state.acceptance_rate, tuple(state.warnings))
-
-
-def _draw_pilots(config: ExperimentConfig, task_map, settled: dict) -> dict:
-    """Pilot spectra ``{(n, draw): (values, health)}``: the first
-    ``_pilot_count`` draws of every size whose psi is not settled."""
-    draws = range(_pilot_count(config))
-    tasks = [(n, draw) for n in config.sizes if n not in settled for draw in draws]
-    return dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
-
-
-def _windows(config: ExperimentConfig, settled: dict, pilots: dict) -> dict:
-    """Window per size, at its settled psi or else at the psi of its pilot.
-
-    Drawing the pilots and placing the windows are two steps, so that the
-    pilot's sampler health reaches the manifest also when its psi aborts.
-    """
-    windows = {}
-    for n in config.sizes:
-        pilot = [values for (m, _), (values, _) in pilots.items() if m == n]
-        psi = settled[n] if n in settled else _psi(config, n, pilot)
-        windows[n] = default_window(n, psi, config.window_a, config.window_delta_exponent)
-    return windows
 
 
 def _verify_row(config, windows, nodes, task, values) -> str:
@@ -400,23 +372,6 @@ def _score_task(config, score, task):
     return score(task, values), health
 
 
-def _scored(config, task_map, score, pilots: dict, tasks: list):
-    """``(task, score(task, values), health)`` for each task, lazily and in
-    task order: a spectrum the pilot drew is scored here, the pool draws and
-    scores the rest."""
-    rest = [task for task in tasks if task not in pilots]
-    # Chunks of up to 8 tasks, but never fewer chunks than workers.
-    chunksize = max(1, min(8, math.ceil(len(rest) / config.workers)))
-    pooled = task_map(partial(_score_task, config, score), rest, chunksize=chunksize)
-    for task in tasks:
-        if task in pilots:
-            values, health = pilots[task]
-            yield task, score(task, values), health
-        else:
-            result, health = next(pooled)
-            yield task, result, health
-
-
 @contextmanager
 def _task_map(workers: int):
     """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
@@ -427,6 +382,51 @@ def _task_map(workers: int):
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
+
+
+@contextmanager
+def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
+    """The run plan: each size's window, and one scorer of its spectra.
+
+    A size's psi is known for the Gaussian convention (the semicircle value)
+    or when the manifest of the run being resumed recorded it; otherwise it
+    is estimated from that size's pilot, its first min(32, draws) spectra.
+    The pilots are drawn through the task map before any row, and their
+    sampler health enters ``health`` before any estimate, so it reaches the
+    manifest also when an estimate aborts.
+
+    Yields ``(windows, scored)``: ``scored(score, tasks)`` gives
+    ``(task, score(task, values), health)`` lazily and in task order; a
+    spectrum the pilot drew is scored here, the pool draws and scores the
+    rest.
+    """
+    gaussian = isinstance(config.potential, str)
+    known = {n: float(semicircle_density(config.window_a)) for n in config.sizes if gaussian}
+    known.update(recorded_psi)
+    draws = range(min(PILOT_DRAWS, config.draws))
+    with _task_map(config.workers) as task_map:
+        tasks = [(n, draw) for n in config.sizes if n not in known for draw in draws]
+        pilots = dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
+        health.update((task, h) for task, (_, h) in pilots.items())
+        windows = {}
+        for n in config.sizes:
+            pilot = [values for (m, _), (values, _) in pilots.items() if m == n]
+            psi = known[n] if n in known else _psi(config, n, pilot)
+            windows[n] = default_window(n, psi, config.window_a, config.window_delta_exponent)
+
+        def scored(score, tasks):
+            rest = [task for task in tasks if task not in pilots]
+            # Chunks of up to 8 tasks, but never fewer chunks than workers.
+            chunksize = max(1, min(8, math.ceil(len(rest) / config.workers)))
+            pooled = task_map(partial(_score_task, config, score), rest, chunksize=chunksize)
+            for task in tasks:
+                if task in pilots:
+                    values, draw_health = pilots[task]
+                    yield task, score(task, values), draw_health
+                else:
+                    yield (task, *next(pooled))
+
+        yield windows, scored
 
 
 @contextmanager
@@ -514,21 +514,14 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
     if done:
         manifest.warnings.append(f"resumed: {len(done)} rows already present")
 
-    # A size whose psi an earlier run of this config recorded is settled: the
-    # recorded psi stands, no pilot is drawn, and the pool draws every
-    # missing row of that size, pilot draws included.
-    settled = {n: recorded_psi[n] for n in config.sizes if n in recorded_psi}
     tasks = [(n, d) for n in config.sizes for d in range(config.draws) if (n, d) not in done]
     rows, health = dict(done), {}
     try:
-        with _task_map(config.workers) as task_map:
-            pilots = _draw_pilots(config, task_map, settled)
-            health.update((task, h) for task, (_, h) in pilots.items())
-            windows = _windows(config, settled, pilots)
+        with _plan(config, recorded_psi, health) as (windows, scored):
             manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
             score = partial(_verify_row, config, windows, cdf.nodes)
             with _open_results(result_path) as fh:
-                for task, row, draw_health in _scored(config, task_map, score, pilots, tasks):
+                for task, row, draw_health in scored(score, tasks):
                     fh.write(row + "\n")
                     fh.flush()
                     rows[task], health[task] = row, draw_health
@@ -554,7 +547,7 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
             "ci95": ci,
             "window_size": windows[n].size,
         }
-    means = [per_size[str(n)]["mean_bound"] for n in config.sizes]
+    means = [per_size[str(n)]["mean_bound"] for n in sorted(config.sizes)]
     summary = {
         "config_digest": config_hash(config),
         "beta": config.beta,
@@ -571,17 +564,15 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
 def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
     """Exact combinatorial identity checks over all configured draws.
 
-    The spectra and windows are those ``verify`` scores, drawn by the same
-    pilot/window plan and task map.  ``corrupt=True`` is the negative control
-    of the detector (see ``_identity_points``); it raises when no window
-    could be corrupted, since a control that found nothing shows nothing.
+    The spectra and windows are those ``verify`` scores, from the same
+    ``_plan``.  ``corrupt=True`` is the negative control of the detector
+    (see ``_identity_points``); it raises when no window could be
+    corrupted, since a control that found nothing shows nothing.
     """
     checked, violations = 0, []
     tasks = [(n, draw) for n in config.sizes for draw in range(config.draws)]
-    with _task_map(config.workers) as task_map:
-        pilots = _draw_pilots(config, task_map, {})
-        score = partial(_identity_points, _windows(config, {}, pilots), corrupt)
-        for _, (points, found), _ in _scored(config, task_map, score, pilots, tasks):
+    with _plan(config, {}, {}) as (windows, scored):
+        for _, (points, found), _ in scored(partial(_identity_points, windows, corrupt), tasks):
             checked += points
             violations += found
     if corrupt and not violations:

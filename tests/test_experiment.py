@@ -57,6 +57,17 @@ class TestConfig:
         # canonicalization does not reorder data, only keys
         assert json.loads(text)["sizes"] == [64, 32]
 
+    def test_digests_are_pinned(self):
+        # A digest names the rows a directory holds: changing how a config is
+        # written would orphan every result written before.
+        assert config_hash(ExperimentConfig()) == (
+            "7c91a66744b94ca9129f0a4bc097e8f63ba6032f5f3d1b7e8f1fdfe2483d8175"
+        )
+        ci = ExperimentConfig(beta=1, potential=[0, 0, 0, 0, 16], sizes=[16, 32], draws=2)
+        assert config_hash(ci) == (
+            "01b8f077581e5459f9fd36a8b4def2aa5210bfe69f7343f553b631c62f9f8e7f"
+        )
+
     def test_hash_deterministic_and_sensitive(self):
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=1)
@@ -287,6 +298,48 @@ class TestVerifyRun:
         assert streams == Counter([stream_id(32, 1)])
         assert path.read_bytes() == rows
         assert (tmp_path / "summary.json").read_bytes() == summary
+
+    @pytest.mark.parametrize("psi_32", [None, "nan"])
+    def test_resume_estimates_the_psi_its_manifest_lacks(self, tmp_path, monkeypatch, psi_32):
+        # The 16x^4 config of CI, its last row dropped and size 32's psi
+        # missing from the manifest or garbled: only that size's pilot is
+        # drawn again, and the resume ends as the fresh run did.
+        cdf = build_universal_cdf(1, s_max=10.0, m_nodes=50)
+        ci = dict(beta=1, potential=QUARTIC, sizes=(16, 32), draws=2)
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_verify(ExperimentConfig(out_dir=str(fresh), **ci), cdf=cdf)
+        rows = (fresh / "results_beta1.csv").read_bytes()
+        manifest = json.loads((fresh / "manifest.json").read_text())
+        out.mkdir()
+        (out / "results_beta1.csv").write_bytes(rows[: rows.rstrip(b"\n").rindex(b"\n") + 1])
+        psi = dict(manifest["psi"])
+        if psi_32 is None:
+            del manifest["psi"]["32"]
+        else:
+            manifest["psi"]["32"] = psi_32
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        streams = Counter()
+        real = experiment.sample_mcmc
+
+        def counted(spec, state, steps, burn_in, thin=1):
+            streams[state.stream] += 1
+            return real(spec, state, steps, burn_in, thin)
+
+        monkeypatch.setattr(experiment, "sample_mcmc", counted)
+        run_verify(ExperimentConfig(out_dir=str(out), **ci), cdf=cdf)
+        assert streams == Counter([stream_id(32, 0), stream_id(32, 1)])
+        for name in ("results_beta1.csv", "summary.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["psi"] == psi
+
+    def test_verdict_reads_sizes_in_increasing_order(self, tmp_path, tiny_cdf):
+        # Listed as (64, 32), the decreasing bounds used to read as increasing.
+        ordered = run_verify(tiny_config(tmp_path / "a"), cdf=tiny_cdf)
+        listed = run_verify(tiny_config(tmp_path / "b", sizes=(64, 32)), cdf=tiny_cdf)
+        assert ordered["mean_bounds_strictly_decreasing"] is True
+        assert listed["mean_bounds_strictly_decreasing"] is True
+        assert listed["per_size"] == ordered["per_size"]
+        assert listed["sizes"] == [64, 32]
 
     def test_gaussian_manifest_has_no_mcmc_health(self, tmp_path, tiny_cdf):
         run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
@@ -648,7 +701,9 @@ class TestCli:
          {"beta": True}, {"draws": True}, {"seed": True}, {"workers": True},
          {"window_a": True}, {"s_max": True},
          # Past the trajectory's reach, below zero, outside the semicircle.
-         {"s_max": 40}, {"s_max": -1}, {"window_a": 3.0}],
+         {"s_max": 40}, {"s_max": -1}, {"window_a": 3.0},
+         # A repeated size used to write each of its rows twice.
+         {"sizes": [16, 16]}],
     )
     def test_bad_config_fails_before_writing(self, tmp_path, capsys, field):
         cfg = tmp_path / "c.json"

@@ -158,21 +158,26 @@ class TestGammaCdf:
 def reference_identity_check(rs, comb=math.comb):
     """The O(p^4) check: every span count re-summed from per-interior-count
     tallies at every jump point."""
-    p = rs.inside.size
-    spans, gaps = spacings._pair_data(rs.inside)
-    if spans.size == 0:
+    x = rs.inside
+    p = x.size
+    # Every endpoint pair i < j as (span, interior count), by increasing span;
+    # the sort is stable, so equal spans keep their (i, j) order.
+    pairs = sorted(
+        ((x[j] - x[i], j - i - 1) for i in range(p) for j in range(i + 1, p)),
+        key=lambda pair: pair[0],
+    )
+    if not pairs:
         return IdentityReport(ok=True, checked_points=0, violations=())
-    order = np.argsort(spans, kind="stable")
-    spans, gaps = spans[order], gaps[order]
+    spans, gaps = zip(*pairs)
 
     violations = []
     tally = [0] * p
     sigma_count = 0
     idx = 0
     points = 0
-    while idx < spans.size:
+    while idx < len(spans):
         s = spans[idx]
-        while idx < spans.size and spans[idx] <= s:
+        while idx < len(spans) and spans[idx] <= s:
             g = int(gaps[idx])
             tally[g] += 1
             if g == 0:
