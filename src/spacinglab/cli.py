@@ -186,7 +186,7 @@ def _cmd_gap(args, parser) -> int:
 def _cmd_sample(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out_dir)
-    with _task_map(config.workers) as task_map:
+    with _task_map(config) as task_map:
         for n in config.sizes:
             tasks = [(n, draw) for draw in range(config.draws)]
             spectra = task_map(partial(_draw_spectrum, config), tasks)

@@ -5,7 +5,9 @@ Two routes to the joint eigenvalue law with Vandermonde repulsion |Delta|^beta:
 * a tridiagonal model (Gaussian potential only): Gaussian diagonal,
   chi-distributed off-diagonal with decreasing degrees of freedom, whose
   eigenvalue density is the beta-ensemble law at any beta > 0, solved by a
-  symmetric tridiagonal eigensolver in O(n^2);
+  symmetric tridiagonal eigensolver (LAPACK sterf) in O(n^2); that solver is
+  the package's one use of scipy, imported by the first draw (or by a pool
+  before it forks its workers) and not with this module;
 * Metropolis-within-Gibbs on the log-gas density for general even polynomial
   confinement.
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
     "EnsembleSpec",
@@ -138,6 +139,8 @@ def sample_tridiagonal(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
         return diag.copy()
     dof = spec.beta * np.arange(n - 1, 0, -1)
     off = np.sqrt(rng.chisquare(dof)) * scale
+    from scipy.linalg import eigvalsh_tridiagonal  # only here: see the module docstring
+
     # sterf returns the eigenvalues in ascending order.
     return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
 

@@ -285,11 +285,17 @@ def _check_resume(out: Path, digest: str) -> dict:
             "one output directory holds one verify config: resume only with the "
             "same config or use a fresh output directory"
         )
-    try:
-        recorded = {int(n): float(psi) for n, psi in previous.get("psi", {}).items()}
-    except (AttributeError, TypeError, ValueError):
-        return {}
-    return {n: psi for n, psi in recorded.items() if math.isfinite(psi) and psi > 0}
+    recorded = previous.get("psi")
+    psi = {}
+    # Each entry stands alone: one that does not parse costs only its size's pilot.
+    for n, value in (recorded.items() if isinstance(recorded, dict) else ()):
+        try:
+            n, value = int(n), float(value)
+        except (TypeError, ValueError):
+            continue
+        if math.isfinite(value) and value > 0:
+            psi[n] = value
+    return psi
 
 
 PILOT_DRAWS = 32
@@ -373,14 +379,18 @@ def _score_task(config, score, task):
 
 
 @contextmanager
-def _task_map(workers: int):
+def _task_map(config: ExperimentConfig):
     """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
     order: in-process for one worker, else through one process pool that
     serves every stage of the run."""
-    if workers == 1:
+    if config.workers == 1:
         yield lambda fn, tasks, chunksize=1: map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if isinstance(config.potential, str):
+        # Forked workers inherit the Gaussian draws' eigensolver instead of
+        # each importing it on its first draw.
+        import scipy.linalg  # noqa: F401
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
         yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
 
 
@@ -404,7 +414,7 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     known = {n: float(semicircle_density(config.window_a)) for n in config.sizes if gaussian}
     known.update(recorded_psi)
     draws = range(min(PILOT_DRAWS, config.draws))
-    with _task_map(config.workers) as task_map:
+    with _task_map(config) as task_map:
         tasks = [(n, draw) for n in config.sizes if n not in known for draw in draws]
         pilots = dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
         health.update((task, h) for task, (_, h) in pilots.items())

@@ -25,8 +25,8 @@ by arbitrarily small perturbations.  A marching integrator therefore drifts
 off the connection no matter how small its local error; the trajectory is
 computed here as a two-point boundary value problem instead, collocating
 between the series seed at t0 and the algebraic expansion at the far end
-(Lobatto IIIA collocation with residual control, solved by Newton steps on
-a banded Jacobian).
+(Lobatto IIIA collocation with residual control, solved by Newton steps
+whose block-bidiagonal systems cyclic reduction solves with batched QR).
 The same solution carries Int v and (1/2) Int sqrt(-v') as two more
 components, so G_1, G_2 and G_4 are read from it without a quadrature table.
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .kernels import corr_fn, pfaffian, skew_kernel_block
 
@@ -234,7 +233,7 @@ def _collocate(x, y, bc):
     3-stage Lobatto IIIA collocation with residual control (Kierzenka &
     Shampine, ACM TOMS 27, 2001): the solution is the C1 cubic through the
     nodes whose slope matches the rhs at the nodes and interval midpoints.
-    Newton steps, one banded solve each, solve a mesh; each interval's rms
+    Newton steps, one ``_block_solve`` each, solve a mesh; each interval's rms
     residual relative to 1 + |rhs| is then estimated by Lobatto quadrature,
     and an interval above BVP_TOL gets one node (two from 100 BVP_TOL on)
     before the next solve.  Raises RuntimeError if Newton does not converge
@@ -254,10 +253,9 @@ def _collocate(x, y, bc):
                     f"sigma-ODE collocation failed: no Newton convergence on {x.size} nodes"
                 )
             try:
-                step = solve_banded(_BANDS, _banded_jacobian(x, y, y_mid), res)
+                y = y - _block_solve(*_jacobian_blocks(x, y, y_mid), res)
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
-            y = y - step.reshape(-1, 4).T
 
         dense = _hermite(x, y, f)
         # The slope residual is 1.5 col / h at the midpoint and 0 at the nodes.
@@ -280,8 +278,9 @@ def _collocate(x, y, bc):
 
 
 def _collocation_residual(x, y, bc):
-    """Every residual in banded order (left conditions, intervals, right
-    condition), with the rhs at the nodes and the midpoint values and rhs."""
+    """Every residual in the Newton system's order (left conditions,
+    intervals, right condition), with the rhs at the nodes and the midpoint
+    values and rhs."""
     h = np.diff(x)
     f = _sigma_rhs(x, y)
     y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - h / 8 * (f[:, 1:] - f[:, :-1])
@@ -291,28 +290,63 @@ def _collocation_residual(x, y, bc):
     return np.concatenate([left, col.T.ravel(), [y[0, -1] - bc[3]]]), col, f, y_mid, f_mid
 
 
-# Half-widths below and above the diagonal of the collocation Jacobian: with
-# unknowns node by node, interval i's rows 3 + 4i + c see columns 4i..4i + 7.
-_BANDS = (6, 4)
-
-
-def _banded_jacobian(x, y, y_mid):
-    """The collocation Jacobian in ``solve_banded`` storage."""
-    m, h = x.size, np.diff(x)
+def _jacobian_blocks(x, y, y_mid):
+    """The collocation Jacobian as its 4x4 blocks: interval i's residual
+    moves with y_i through ``d_left[i]`` and with y_i+1 through
+    ``d_right[i]``."""
+    h = np.diff(x)
     jac, j_mid = _sigma_jac(x, y), _sigma_jac(x[:-1] + 0.5 * h, y_mid)
     h, eye = h[:, None, None], np.eye(4)
     # y_mid moves with y_i by I/2 + h/8 J_i and with y_i+1 by I/2 - h/8 J_i+1.
     d_left = -eye - h / 6 * (jac[:-1] + 4 * j_mid @ (eye / 2 + h / 8 * jac[:-1]))
     d_right = eye - h / 6 * (jac[1:] + 4 * j_mid @ (eye / 2 - h / 8 * jac[1:]))
-    lower, upper = _BANDS
-    ab = np.zeros((lower + upper + 1, 4 * m))
-    # Entry (row r, column k) is stored at ab[upper + r - k, k].
-    ab[upper, 0] = ab[upper - 1, 2] = ab[upper - 1, 3] = ab[upper + 3, -4] = 1.0
-    for c in range(4):
-        for d in range(4):
-            ab[upper + 3 + c - d, d : -4 : 4] = d_left[:, c, d]
-            ab[upper - 1 + c - d, 4 + d :: 4] = d_right[:, c, d]
-    return ab
+    return d_left, d_right
+
+
+def _block_solve(d_left, d_right, res):
+    """Solve the Newton system of the collocation for its step, shape
+    (4, nodes).
+
+    The rows of ``res`` are ordered as ``_collocation_residual`` orders
+    them: the seed conditions pin sigma and both integrals at the first
+    node, interval i's four rows read ``d_left[i]`` and ``d_right[i]``, and
+    the far condition pins sigma at the last node.  Cyclic reduction
+    eliminates every other interior node: the two intervals around it stack
+    their blocks of that node into 8x4, whose complete QR leaves four rows
+    free of it, one interval between its neighbours (S. J. Wright, SIAM J.
+    Sci. Stat. Comput. 13, 1992).  An odd interval count carries its last
+    interval to the next level.  The one interval left joins the end nodes,
+    whose 8x8 system holds the boundary conditions; the eliminated nodes
+    then follow level by level, each from the four rows its QR kept.
+    """
+    # Interval i as the 4x9 rows [d_left | residual | d_right]: the system's
+    # rows on its end nodes, the residual column between their two blocks.
+    rows = np.concatenate([d_left, res[3:-1].reshape(-1, 4, 1), d_right], axis=2)
+    nodes, levels = np.arange(d_left.shape[0] + 1), []
+    while rows.shape[0] > 1:
+        pairs = rows.shape[0] // 2
+        first, second = rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2]
+        q, r = np.linalg.qr(
+            np.concatenate([first[:, :, 5:], second[:, :, :4]], axis=1), mode="complete"
+        )
+        pair = np.zeros((pairs, 8, 9))
+        pair[:, :4, :5], pair[:, 4:, 4:] = first[:, :, :5], second[:, :, 4:]
+        pair = np.swapaxes(q, 1, 2) @ pair
+        levels.append((nodes[: 2 * pairs + 1], r[:, :4], pair[:, :4]))
+        rows = np.concatenate([pair[:, 4:], rows[2 * pairs :]])
+        nodes = np.concatenate([nodes[::2], nodes[-1:] if nodes.size % 2 == 0 else nodes[:0]])
+    ends = np.zeros((8, 8))
+    ends[[0, 1, 2, 7], [0, 2, 3, 4]] = 1.0
+    ends[3:7, :4], ends[3:7, 4:] = rows[0, :, :4], rows[0, :, 5:]
+    step = np.empty((d_left.shape[0] + 1, 4))
+    step[[0, -1]] = np.linalg.solve(ends, np.r_[res[:3], rows[0, :, 4], res[-1]]).reshape(2, 4)
+    for nodes, u, kept in reversed(levels):
+        # kept @ [y_left; -1; y_right] is -u y_mid.
+        around = np.concatenate(
+            [step[nodes[:-1:2]], np.full((u.shape[0], 1), -1.0), step[nodes[2::2]]], axis=1
+        )
+        step[nodes[1::2]] = -np.linalg.solve(u, kept @ around[:, :, None])[:, :, 0]
+    return step.T
 
 
 def _sigma_jac(t, y):

@@ -299,11 +299,12 @@ class TestVerifyRun:
         assert path.read_bytes() == rows
         assert (tmp_path / "summary.json").read_bytes() == summary
 
-    @pytest.mark.parametrize("psi_32", [None, "nan"])
+    @pytest.mark.parametrize("psi_32", [None, "nan", "abc", pytest.param("32.0", id="key-32.0")])
     def test_resume_estimates_the_psi_its_manifest_lacks(self, tmp_path, monkeypatch, psi_32):
         # The 16x^4 config of CI, its last row dropped and size 32's psi
-        # missing from the manifest or garbled: only that size's pilot is
-        # drawn again, and the resume ends as the fresh run did.
+        # missing from the manifest, garbled, or recorded under a key that is
+        # no integer: only that size's pilot is drawn again, and the resume
+        # ends as the fresh run did.
         cdf = build_universal_cdf(1, s_max=10.0, m_nodes=50)
         ci = dict(beta=1, potential=QUARTIC, sizes=(16, 32), draws=2)
         fresh, out = tmp_path / "fresh", tmp_path / "resumed"
@@ -315,6 +316,8 @@ class TestVerifyRun:
         psi = dict(manifest["psi"])
         if psi_32 is None:
             del manifest["psi"]["32"]
+        elif psi_32 == "32.0":
+            manifest["psi"]["32.0"] = manifest["psi"].pop("32")
         else:
             manifest["psi"]["32"] = psi_32
         (out / "manifest.json").write_text(json.dumps(manifest))
@@ -483,33 +486,52 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: s_max must lie in")
 
     def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
-        # The sigma-BVP is solved with numpy and scipy.linalg alone, so neither
-        # importing the CLI nor running universal, gap or verify loads these
-        # subpackages.
+        # Only the Gaussian draws' tridiagonal eigensolver uses scipy: importing
+        # the CLI, universal, gap by every route and a log-gas verify load no
+        # scipy module at all.  A Gaussian verify at two workers loads
+        # scipy.linalg in the parent, which draws nothing itself, so that the
+        # forked workers inherit it; neither it nor one at one worker loads
+        # scipy.special or the three subpackages above.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(spacinglab.__file__).parents[1]), env.get("PYTHONPATH")])
         )
+        quartic = tmp_path / "q.json"
+        quartic.write_text(json.dumps(
+            {"beta": 1, "potential": [0, 0, 0, 0, 16], "sizes": [16, 32], "draws": 2}
+        ))
         code = (
             "import sys, spacinglab.cli as c\n"
             "def loaded():\n"
             "    return [m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.interpolate')"
             " if m in sys.modules]\n"
-            "print(loaded())\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('loaded:', loaded(), scipy())\n"
             "assert c.main(['universal', '--beta', '1', '--s-max', '10', '--nodes', '10',"
             f" '--out', {str(tmp_path)!r}]) == 0\n"
             "assert c.main(['gap', '--beta', '4', '--s', '1.3', '--method', 'painleve']) == 0\n"
+            "assert c.main(['gap', '--beta', '2', '--s', '1.3', '--method', 'fredholm']) == 0\n"
+            "assert c.main(['gap', '--beta', '1', '--s', '0.8', '--method', 'series']) == 0\n"
+            f"assert c.main(['verify', '--config', {str(quartic)!r}, '--workers', '1',"
+            f" '--out', {str(tmp_path / 'q')!r}]) == 0\n"
+            "print('loaded:', loaded(), scipy())\n"
+            "assert c.main(['verify', '--sizes', '16', '--draws', '2', '--workers', '2',"
+            f" '--out', {str(tmp_path / 'v2')!r}]) == 0\n"
+            "print('loaded:', loaded(), 'scipy.linalg' in sys.modules,"
+            " 'scipy.special' in sys.modules)\n"
             "assert c.main(['verify', '--sizes', '16', '--draws', '2', '--workers', '1',"
             f" '--out', {str(tmp_path / 'v')!r}]) == 0\n"
-            "print(loaded())\n"
+            "print('loaded:', loaded(), 'scipy.special' in sys.modules)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True, timeout=60,
         ).stdout
-        lines = out.splitlines()
-        assert lines[0] == "[]"
-        assert lines[-1] == "[]"
+        lines = [line for line in out.splitlines() if line.startswith("loaded:")]
+        assert lines == [
+            "loaded: [] []", "loaded: [] []", "loaded: [] True False", "loaded: [] False"
+        ]
 
     def test_gap_tiny_s(self, capsys):
         assert main(["gap", "--beta", "2", "--s", "1e-9"]) == 0

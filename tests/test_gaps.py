@@ -12,6 +12,9 @@ from spacinglab.gaps import (
     SEED_T0,
     SigmaTrajectory,
     _asym,
+    _block_solve,
+    _collocation_residual,
+    _jacobian_blocks,
     _seed,
     _sigma_rhs,
     _solve,
@@ -335,6 +338,27 @@ class TestCollocation:
         for name in ours._fields:
             diff = np.max(np.abs(getattr(ours, name) - getattr(theirs, name)))
             assert diff <= 1e-11, (name, diff)
+
+    @pytest.mark.parametrize("nodes", [49, 50])
+    def test_block_solve_matches_dense_solve(self, nodes, rng):
+        # 48 intervals halve to 3 before an odd count carries one over; 49
+        # carry one over at the first level.
+        x = np.concatenate([np.geomspace(SEED_T0, 4.0, 20), np.linspace(5.0, 50.0, nodes - 20)])
+        y = np.vstack(integrate_sigma(50.0)._dense(x))
+        seed = _seed(SEED_T0)
+        bc = np.array([seed[0], seed[4], seed[5], _asym(50.0)[0]])
+        y_mid = _collocation_residual(x, y, bc)[3]
+        d_left, d_right = _jacobian_blocks(x, y, y_mid)
+        # The system in _collocation_residual's row order, unknowns node by node.
+        dense = np.zeros((4 * nodes, 4 * nodes))
+        dense[[0, 1, 2, -1], [0, 2, 3, 4 * nodes - 4]] = 1.0
+        for i in range(nodes - 1):
+            dense[3 + 4 * i : 7 + 4 * i, 4 * i : 4 * i + 4] = d_left[i]
+            dense[3 + 4 * i : 7 + 4 * i, 4 * i + 4 : 4 * i + 8] = d_right[i]
+        rhs = rng.standard_normal(4 * nodes)
+        want = np.linalg.solve(dense, rhs).reshape(-1, 4).T
+        got = _block_solve(d_left, d_right, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cap", [("MAX_NODES", 1000), ("NEWTON_STEPS", 2)])
     def test_exhausted_solve_raises(self, monkeypatch, cap):

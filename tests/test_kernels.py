@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 from oracles import corr_fn_expansion, regularized_antideriv4
 from spacinglab.kernels import (
+    _sine_integral,
     corr_fn,
     matrix_kernel,
     pfaffian,
@@ -19,6 +21,22 @@ def test_antideriv_matches_adaptive_quadrature():
         ref, err = quad(lambda t: np.sinc(t), 0.0, r, epsabs=1e-12, limit=400)
         assert err < 1e-10
         assert sinc_antideriv(r) == pytest.approx(ref, abs=1e-10)
+
+
+def test_sine_integral_matches_scipy():
+    # The series serves |x| <= 4 and the continued fraction beyond, so the
+    # grid straddles the switch, the origin and both tails.
+    switch = np.nextafter(4.0, [0.0, np.inf])
+    x = np.concatenate(
+        [np.linspace(0.0, 60.0, 60_001), switch, [1e-300, 1e-8, 0.5, 1e3, 1e6, np.inf]]
+    )
+    x = np.concatenate([x, -x])
+    si = _sine_integral(x)
+    assert np.max(np.abs(si - sici(x)[0])) <= 2e-15
+    half = x.size // 2
+    assert np.array_equal(si[half:], -si[:half])
+    assert _sine_integral(np.array([0.0, 1e-300]))[1] == 1e-300
+    assert _sine_integral(np.float64(-4.0)) == pytest.approx(sici(-4.0)[0], abs=2e-15)
 
 
 def test_matrix_kernel_diagonal():
