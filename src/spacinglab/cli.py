@@ -173,8 +173,7 @@ def _cmd_gap(args, parser) -> int:
             parser.error(
                 f"--s must lie in (0, {limit}] for beta={args.beta}, got {args.s:g}"
             )
-        traj = integrate_sigma(min(span * math.pi * args.s * 1.001, T_MAX_LIMIT))
-        value = gap_probability(traj, args.beta, args.s)
+        value = gap_probability(integrate_sigma(), args.beta, args.s)
     elif args.method == "fredholm":
         value = fredholm_g2(args.s, n=60)
     else:

@@ -112,6 +112,9 @@ class ExperimentConfig:
             integer = isinstance(value, Integral) and not isinstance(value, bool)
             if not integer or not least <= value < bound:
                 raise ValueError(f"{name} must be an integer in [{least}, {bound}), got {value!r}")
+        # A process pool starts all its workers at once.
+        if self.workers > (cpus := os.cpu_count() or 1):
+            raise ValueError(f"workers must not exceed the {cpus} CPUs, got {self.workers}")
         # Rows are keyed by (n, draw): a repeated size would score its rows twice.
         if len(set(sizes)) < len(sizes):
             raise ValueError(f"sizes must be distinct, got {self.sizes!r}")

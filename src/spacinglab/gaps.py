@@ -28,7 +28,8 @@ between the series seed at t0 and the algebraic expansion at the far end
 (Lobatto IIIA collocation with residual control, solved by Newton steps
 whose block-bidiagonal systems cyclic reduction solves with batched QR).
 The same solution carries Int v and (1/2) Int sqrt(-v') as two more
-components, so G_1, G_2 and G_4 are read from it without a quadrature table.
+components, so G_1, G_2 and G_4 are read from it without a quadrature table;
+their collocation equations are Simpson's rule, summed once sigma is solved.
 
 Independent cross-checks: a Nystrom Fredholm determinant for beta=2 and a
 truncated correlation-function series for all beta (small s).
@@ -65,10 +66,9 @@ SEED_T0 = 1e-3
 
 # Large-t expansion sigma(t) = -t^2/4 - 1/4 + sum_j ASYM_COEFFS[j] * t^-j,
 # obtained by substituting the ansatz into the ODE and matching orders.  With
-# terms through t^-8 the truncation error at t = 50 is ~3e-12, so the far
-# boundary condition is never placed below that.
+# terms through t^-8 the truncation error is ~3e-12 at t = 50 and ~3e-18 at
+# the far boundary condition, T_MAX_LIMIT.
 ASYM_COEFFS = {2: -0.25, 4: -2.5, 6: -65.5, 8: -3287.5}
-_T_FAR_MIN = 50.0
 
 # Reach of the trajectory, and so of the tabulated curves: G_4 at s needs
 # t = 2 pi s.
@@ -172,46 +172,33 @@ class SigmaTrajectory:
         return Lookup(*rows)
 
 
-def integrate_sigma(t_max: float) -> SigmaTrajectory:
-    """Solve the sigma-form ODE, with the two gap integrals, on [SEED_T0, t_max].
+@functools.cache
+def integrate_sigma() -> SigmaTrajectory:
+    """Solve the sigma-form ODE, with the two gap integrals, to T_MAX_LIMIT.
 
-    The boundary conditions pin the cubic series values of sigma and of both
-    integrals at the seed and the algebraic expansion value of sigma at the
-    far end (placed at least at t = 50 so the expansion is accurate);
-    collocation then resolves the saddle connection with residual below
-    BVP_TOL per mesh interval.  The computed solution is verified against
-    the seed series on [t0, 10 t0] and against the positivity of both
-    square-root radicands before being accepted.
+    The boundary conditions pin the cubic series value of sigma at the seed
+    and the algebraic expansion value of sigma at T_MAX_LIMIT; collocation
+    then resolves the saddle connection with residual below BVP_TOL per mesh
+    interval.  The computed solution is verified against the seed series on
+    [t0, 10 t0] and against the positivity of both square-root radicands
+    before being accepted.
 
-    The solution depends only on the far end, so one process solves each
-    far end once: every t_max up to 50 shares the t = 50 solve, and a
-    repeated call returns the same (frozen) trajectory.
+    Every reach up to T_MAX_LIMIT reads this one solution, so one process
+    solves once and a repeated call returns the same (frozen) trajectory.
     A failed solve raises and is not remembered.
     """
-    if not 0.0 < t_max <= T_MAX_LIMIT:
-        raise ValueError(f"t_max must lie in (0, {T_MAX_LIMIT:g}]")
-    return _solve(max(float(t_max), _T_FAR_MIN), SEED_T0)
+    return _solve(SEED_T0)
 
 
-# A process reads a few reaches at most (t = 50 and 2 pi s_max); the bound
-# keeps a long-lived caller from holding every trajectory it ever solved.
-@functools.lru_cache(maxsize=4)
-def _solve(t_far: float, seed_at: float) -> SigmaTrajectory:
-    """The sigma-BVP solved between ``seed_at`` and ``t_far``, memoized."""
+def _solve(seed_at: float) -> SigmaTrajectory:
+    """The sigma-BVP solved between ``seed_at`` and T_MAX_LIMIT."""
     seed = _seed(seed_at)
     # sigma, Int v and (1/2) Int sqrt(-v') at the seed, sigma at the far end.
-    bc = np.array([seed[0], seed[4], seed[5], _asym(t_far)[0]])
-    mesh = np.concatenate(
-        [
-            np.geomspace(seed_at, 4.0, 200),
-            np.linspace(4.02, t_far, max(600, int(12 * t_far))),
-        ]
-    )
-    # sigma and sigma' from the series near the seed and the expansion beyond;
-    # the integrals feed nothing back into sigma, so they can start from zero.
+    bc = np.array([seed[0], seed[4], seed[5], _asym(T_MAX_LIMIT)[0]])
+    mesh = np.r_[np.geomspace(seed_at, 4.0, 200), np.linspace(4.02, T_MAX_LIMIT, 2400)]
+    # sigma and sigma' from the series near the seed and the expansion beyond.
     guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
-    y0 = np.vstack([guess, np.zeros((2, mesh.size))])
-    tt, y, dense = _collocate(mesh, y0, bc)
+    tt, y, dense = _collocate(mesh, guess, bc)
 
     # Branch acceptance: radicand sign along the mesh and seed consistency.
     sig, sigp = y[:2]
@@ -223,21 +210,24 @@ def _solve(t_far: float, seed_at: float) -> SigmaTrajectory:
     near = np.linspace(seed_at, 10 * seed_at, 50)
     if np.max(np.abs(dense(near)[0] - _seed(near)[0])) > 1e-8:
         raise RuntimeError(f"sigma-ODE branch violation at t={10 * seed_at:g}")
-    return SigmaTrajectory(t_max=t_far, _dense=dense)
+    return SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=dense)
 
 
 def _collocate(x, y, bc):
-    """Solve the sigma-BVP from the guess y on the mesh x; returns the final
-    mesh, the values there and the dense solution.
+    """Solve the sigma-BVP from the guess y of sigma and sigma' on the mesh
+    x; returns the final mesh, the four components there and the dense
+    solution.
 
     3-stage Lobatto IIIA collocation with residual control (Kierzenka &
     Shampine, ACM TOMS 27, 2001): the solution is the C1 cubic through the
     nodes whose slope matches the rhs at the nodes and interval midpoints.
-    Newton steps, one ``_block_solve`` each, solve a mesh; each interval's rms
-    residual relative to 1 + |rhs| is then estimated by Lobatto quadrature,
-    and an interval above BVP_TOL gets one node (two from 100 BVP_TOL on)
-    before the next solve.  Raises RuntimeError if Newton does not converge
-    or the mesh would pass MAX_NODES.
+    Newton steps, one ``_block_solve`` each, solve a mesh for sigma and
+    sigma'; the integrals are then Simpson sums from their seed values
+    ``bc[1:3]``.  Each interval's rms residual of all four relative to
+    1 + |rhs| is estimated by Lobatto quadrature, and an interval above
+    BVP_TOL gets one node (two from 100 BVP_TOL on) before the next solve.
+    Raises RuntimeError if Newton does not converge or the mesh would pass
+    MAX_NODES.
     """
     while True:
         h = np.diff(x)
@@ -245,8 +235,8 @@ def _collocate(x, y, bc):
         tol_col = (2.0 / 3.0) * h * 5e-2 * BVP_TOL
         for steps in range(NEWTON_STEPS + 1):
             res, col, f, y_mid, f_mid = _collocation_residual(x, y, bc)
-            bc_met = np.all(np.abs(res[[0, 1, 2, -1]]) < BVP_TOL)
-            if bc_met and np.all(np.abs(col) < tol_col * (1 + np.abs(f_mid))):
+            bc_met = np.all(np.abs(res[[0, -1]]) < BVP_TOL)
+            if bc_met and np.all(np.abs(col) < tol_col * (1 + np.abs(f_mid[:2]))):
                 break
             if steps == NEWTON_STEPS:
                 raise RuntimeError(
@@ -257,9 +247,12 @@ def _collocate(x, y, bc):
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
 
-        dense = _hermite(x, y, f)
-        # The slope residual is 1.5 col / h at the midpoint and 0 at the nodes.
-        r_mid = np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)
+        simpson = np.c_[bc[1:3], h / 6 * (f[2:, :-1] + 4 * f_mid[2:] + f[2:, 1:])]
+        y4 = np.vstack([y, np.cumsum(simpson, axis=1)])
+        dense = _hermite(x, y4, f)
+        # The slope residual is 1.5 col / h at the midpoint (0 for the
+        # integrals) and 0 at the nodes.
+        r_mid = np.sum((1.5 * col / h / (1 + np.abs(f_mid[:2]))) ** 2, axis=0)
         mid, off = x[:-1] + 0.5 * h, 0.5 * h * np.sqrt(3 / 7)
         r_lob = 0.0
         for t in (mid + off, mid - off):
@@ -269,34 +262,34 @@ def _collocate(x, y, bc):
         one = np.flatnonzero((rms > BVP_TOL) & (rms < 100 * BVP_TOL))
         two = np.flatnonzero(rms >= 100 * BVP_TOL)
         if one.size + two.size == 0:
-            return x, y, dense
+            return x, y4, dense
         if x.size + one.size + 2 * two.size > MAX_NODES:
             raise RuntimeError(f"sigma-ODE collocation failed: more than {MAX_NODES} nodes")
         thirds = (2 * x[two] + x[two + 1]) / 3, (x[two] + 2 * x[two + 1]) / 3
         x = np.sort(np.concatenate([x, 0.5 * (x[one] + x[one + 1]), *thirds]))
-        y = dense(x)
+        y = dense(x)[:2]
 
 
 def _collocation_residual(x, y, bc):
-    """Every residual in the Newton system's order (left conditions,
-    intervals, right condition), with the rhs at the nodes and the midpoint
-    values and rhs."""
+    """Every residual of sigma and sigma' in the Newton system's order (left
+    condition, intervals, right condition), with the rhs of all four
+    components at the nodes and at the midpoints, and the midpoint values."""
     h = np.diff(x)
     f = _sigma_rhs(x, y)
-    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - h / 8 * (f[:, 1:] - f[:, :-1])
+    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - h / 8 * (f[:2, 1:] - f[:2, :-1])
     f_mid = _sigma_rhs(x[:-1] + 0.5 * h, y_mid)
-    col = y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid)
-    left = y[[0, 2, 3], 0] - bc[:3]
-    return np.concatenate([left, col.T.ravel(), [y[0, -1] - bc[3]]]), col, f, y_mid, f_mid
+    col = y[:, 1:] - y[:, :-1] - h / 6 * (f[:2, :-1] + f[:2, 1:] + 4 * f_mid[:2])
+    res = np.concatenate([[y[0, 0] - bc[0]], col.T.ravel(), [y[0, -1] - bc[3]]])
+    return res, col, f, y_mid, f_mid
 
 
 def _jacobian_blocks(x, y, y_mid):
-    """The collocation Jacobian as its 4x4 blocks: interval i's residual
-    moves with y_i through ``d_left[i]`` and with y_i+1 through
-    ``d_right[i]``."""
+    """The collocation Jacobian of sigma and sigma' as its 2x2 blocks:
+    interval i's residual moves with y_i through ``d_left[i]`` and with
+    y_i+1 through ``d_right[i]``."""
     h = np.diff(x)
     jac, j_mid = _sigma_jac(x, y), _sigma_jac(x[:-1] + 0.5 * h, y_mid)
-    h, eye = h[:, None, None], np.eye(4)
+    h, eye = h[:, None, None], np.eye(2)
     # y_mid moves with y_i by I/2 + h/8 J_i and with y_i+1 by I/2 - h/8 J_i+1.
     d_left = -eye - h / 6 * (jac[:-1] + 4 * j_mid @ (eye / 2 + h / 8 * jac[:-1]))
     d_right = eye - h / 6 * (jac[1:] + 4 * j_mid @ (eye / 2 - h / 8 * jac[1:]))
@@ -305,41 +298,41 @@ def _jacobian_blocks(x, y, y_mid):
 
 def _block_solve(d_left, d_right, res):
     """Solve the Newton system of the collocation for its step, shape
-    (4, nodes).
+    (2, nodes).
 
     The rows of ``res`` are ordered as ``_collocation_residual`` orders
-    them: the seed conditions pin sigma and both integrals at the first
-    node, interval i's four rows read ``d_left[i]`` and ``d_right[i]``, and
-    the far condition pins sigma at the last node.  Cyclic reduction
-    eliminates every other interior node: the two intervals around it stack
-    their blocks of that node into 8x4, whose complete QR leaves four rows
-    free of it, one interval between its neighbours (S. J. Wright, SIAM J.
-    Sci. Stat. Comput. 13, 1992).  An odd interval count carries its last
-    interval to the next level.  The one interval left joins the end nodes,
-    whose 8x8 system holds the boundary conditions; the eliminated nodes
-    then follow level by level, each from the four rows its QR kept.
+    them: the seed condition pins sigma at the first node, interval i's two
+    rows read ``d_left[i]`` and ``d_right[i]``, and the far condition pins
+    sigma at the last node.  Cyclic reduction eliminates every other
+    interior node: the two intervals around it stack their blocks of that
+    node into 4x2, whose complete QR leaves two rows free of it, one
+    interval between its neighbours (S. J. Wright, SIAM J. Sci. Stat.
+    Comput. 13, 1992).  An odd interval count carries its last interval to
+    the next level.  The one interval left joins the end nodes, whose 4x4
+    system holds the boundary conditions; the eliminated nodes then follow
+    level by level, each from the two rows its QR kept.
     """
-    # Interval i as the 4x9 rows [d_left | residual | d_right]: the system's
+    # Interval i as the 2x5 rows [d_left | residual | d_right]: the system's
     # rows on its end nodes, the residual column between their two blocks.
-    rows = np.concatenate([d_left, res[3:-1].reshape(-1, 4, 1), d_right], axis=2)
+    rows = np.concatenate([d_left, res[1:-1].reshape(-1, 2, 1), d_right], axis=2)
     nodes, levels = np.arange(d_left.shape[0] + 1), []
     while rows.shape[0] > 1:
         pairs = rows.shape[0] // 2
         first, second = rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2]
         q, r = np.linalg.qr(
-            np.concatenate([first[:, :, 5:], second[:, :, :4]], axis=1), mode="complete"
+            np.concatenate([first[:, :, 3:], second[:, :, :2]], axis=1), mode="complete"
         )
-        pair = np.zeros((pairs, 8, 9))
-        pair[:, :4, :5], pair[:, 4:, 4:] = first[:, :, :5], second[:, :, 4:]
+        pair = np.zeros((pairs, 4, 5))
+        pair[:, :2, :3], pair[:, 2:, 2:] = first[:, :, :3], second[:, :, 2:]
         pair = np.swapaxes(q, 1, 2) @ pair
-        levels.append((nodes[: 2 * pairs + 1], r[:, :4], pair[:, :4]))
-        rows = np.concatenate([pair[:, 4:], rows[2 * pairs :]])
+        levels.append((nodes[: 2 * pairs + 1], r[:, :2], pair[:, :2]))
+        rows = np.concatenate([pair[:, 2:], rows[2 * pairs :]])
         nodes = np.concatenate([nodes[::2], nodes[-1:] if nodes.size % 2 == 0 else nodes[:0]])
-    ends = np.zeros((8, 8))
-    ends[[0, 1, 2, 7], [0, 2, 3, 4]] = 1.0
-    ends[3:7, :4], ends[3:7, 4:] = rows[0, :, :4], rows[0, :, 5:]
-    step = np.empty((d_left.shape[0] + 1, 4))
-    step[[0, -1]] = np.linalg.solve(ends, np.r_[res[:3], rows[0, :, 4], res[-1]]).reshape(2, 4)
+    ends = np.zeros((4, 4))
+    ends[[0, 3], [0, 2]] = 1.0
+    ends[1:3, :2], ends[1:3, 2:] = rows[0, :, :2], rows[0, :, 3:]
+    step = np.empty((d_left.shape[0] + 1, 2))
+    step[[0, -1]] = np.linalg.solve(ends, np.r_[res[:1], rows[0, :, 2], res[-1]]).reshape(2, 2)
     for nodes, u, kept in reversed(levels):
         # kept @ [y_left; -1; y_right] is -u y_mid.
         around = np.concatenate(
@@ -350,21 +343,18 @@ def _block_solve(d_left, d_right, res):
 
 
 def _sigma_jac(t, y):
-    """d _sigma_rhs / d y at each column of y, shape (columns, 4, 4); a
-    radicand clamped at zero has a zero derivative, as the clamp does."""
+    """d (sigma', sigma'') / d (sigma, sigma') at each column of y, shape
+    (columns, 2, 2); a radicand clamped at zero has a zero derivative, as
+    the clamp does."""
     s, p = y[0], y[1]
     a = t * p - s
     rad = (-a) * (a + p * p)
-    jac = np.zeros((t.size, 4, 4))
+    jac = np.zeros((t.size, 2, 2))
     jac[:, 0, 1] = 1.0
     # d sigma'' = -d rad / (t sqrt(rad)), d rad = (2a + p^2) ds - ((2a + p^2) t + 2ap) dp.
     g = np.where(rad > 0, -1.0 / (t * np.sqrt(np.abs(rad))), 0.0)
     jac[:, 1, 0] = g * (2 * a + p * p)
     jac[:, 1, 1] = -g * ((2 * a + p * p) * t + 2 * a * p)
-    jac[:, 2, 0] = 1.0 / t
-    # d H' = -d a / (4 t sqrt(-a)).
-    q = np.where(a < 0, 0.25 / (t * np.sqrt(np.abs(a))), 0.0)
-    jac[:, 3, 0], jac[:, 3, 1] = q, -q * t
     return jac
 
 
@@ -390,7 +380,7 @@ def _hermite(x, y, f):
 
 @dataclass(frozen=True)
 class GapCurve:
-    """Gap probability G_beta and its derivative tabulated on a uniform grid."""
+    """Gap probability G_beta and its derivative tabulated by ``gap_curves``."""
 
     beta: int
     grid: np.ndarray
@@ -423,24 +413,24 @@ def _gap_and_slope(traj: SigmaTrajectory, beta: int, s):
 
 def gap_curves(traj: SigmaTrajectory, s_max: float) -> dict[int, GapCurve]:
     """Tabulate G_1, G_2, G_4 and their derivatives on [0, s_max] in steps
-    of GAP_STEP.
+    of GAP_STEP, up to s_max rounded to a step but never past s_max.
 
     Requires the trajectory to reach pi*s_max for beta=1,2 and 2*pi*s_max for
-    beta=4.
+    beta=4.  G_4 underflows to 0 from s = 17.37 on and G_2 from 24.554.
     """
     if traj.t_max < 2 * PI * s_max * (1 - 1e-12):
         raise ValueError(
             f"trajectory reaches t={traj.t_max:g} but 2*pi*s_max={2 * PI * s_max:g} is needed"
         )
-    grid = np.arange(0.0, s_max + GAP_STEP / 2, GAP_STEP)
+    grid = np.minimum(np.arange(0.0, s_max + GAP_STEP / 2, GAP_STEP), s_max)
     curves = {
         beta: GapCurve(beta, grid, *_gap_and_slope(traj, beta, grid)) for beta in (1, 2, 4)
     }
     for c in curves.values():
         if np.any(c.gap_prime > 1e-10) or np.any(np.diff(c.gap) > 1e-12):
             raise RuntimeError(f"gap probability for beta={c.beta} is not decreasing")
-        if c.gap[0] < 1.0 - 1e-6 or np.any(c.gap <= 0.0):
-            raise RuntimeError(f"gap probability for beta={c.beta} leaves (0, 1]")
+        if c.gap[0] < 1.0 - 1e-6 or np.any(c.gap < 0.0):
+            raise RuntimeError(f"gap probability for beta={c.beta} leaves [0, 1]")
     return curves
 
 
@@ -512,7 +502,7 @@ def build_universal_cdf(
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s_max <= S_MAX_LIMIT:
         raise ValueError(f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {s_max:g}")
-    curves = gap_curves(integrate_sigma(2 * PI * s_max), s_max)
+    curves = gap_curves(integrate_sigma(), s_max)
     return universal_cdf(curves[beta], m_nodes)
 
 

@@ -16,7 +16,7 @@ from spacinglab import (
 
 @pytest.fixture(scope="session")
 def traj():
-    return integrate_sigma(140.0)
+    return integrate_sigma()
 
 
 @pytest.fixture(scope="session")

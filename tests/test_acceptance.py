@@ -67,7 +67,7 @@ def window_draws(beta, n, draws, seed=SEED, delta=None):
 def test_c01_painleve_seed_series():
     budget = 1.0
     t0 = time.perf_counter()
-    traj = integrate_sigma(50.0)
+    traj = integrate_sigma()
     s = np.geomspace(1e-3, 5e-2, 60)
     err = np.abs(traj.at(s).sigma - (-s / PI - (s / PI) ** 2 - s**3 / PI**3))
     worst = float(np.max(err / s**4))

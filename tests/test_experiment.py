@@ -25,7 +25,7 @@ from spacinglab.experiment import (
     stream_id,
     write_table,
 )
-from spacinglab.gaps import build_universal_cdf
+from spacinglab.gaps import S_MAX_LIMIT, build_universal_cdf
 
 QUARTIC = (0.0, 0.0, 0.0, 0.0, 16.0)
 
@@ -484,6 +484,34 @@ class TestCli:
                    "--out", str(tmp_path / "d")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: s_max must lie in")
+
+    @pytest.mark.parametrize("s_max", ["9.9996", "17.5", "25", repr(S_MAX_LIMIT)])
+    @pytest.mark.parametrize("beta", ["1", "2", "4"])
+    def test_universal_builds_every_s_max_in_range(self, tmp_path, capsys, beta, s_max):
+        # G_4 underflows to 0 from s = 17.37 on and G_2 from 24.554, and the
+        # grids of 9.9996 and 100/pi ended past s_max: each used to exit 1.
+        argv = ["universal", "--beta", beta, "--s-max", s_max, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_verify_builds_law_past_underflow(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_max": 25, "sizes": [16], "draws": 1}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["config_digest"] == config_hash(load_config(cfg))
+
+    def test_workers_past_cpu_count_fail_before_a_pool(self, tmp_path, capsys, monkeypatch):
+        # A pool starts all its workers at once, so --workers 100000 used to
+        # fork 100000 processes.  Nothing here may start one.
+        pools = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        out = tmp_path / "d"
+        argv = ["verify", "--sizes", "16", "--draws", "1", "--workers", "3", "--out", str(out)]
+        assert main(argv) == 1
+        assert "exceed the 2 CPUs" in capsys.readouterr().err
+        assert pools == [] and not out.exists()
 
     def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
         # Only the Gaussian draws' tridiagonal eigensolver uses scipy: importing

@@ -9,7 +9,10 @@ from oracles import tail_fit
 from spacinglab import cli, gaps
 from spacinglab.experiment import write_table
 from spacinglab.gaps import (
+    GAP_STEP,
+    S_MAX_LIMIT,
     SEED_T0,
+    T_MAX_LIMIT,
     SigmaTrajectory,
     _asym,
     _block_solve,
@@ -52,8 +55,8 @@ class TestSigmaTrajectory:
 
     def test_rows_continuous_across_seed(self, traj):
         # Below t0 every row comes from the seed series, from t0 on from the
-        # solution; the boundary conditions pin sigma and both integrals at
-        # t0, while -v' also depends on the solution's sigma'.
+        # solution; the seed pins sigma and both integrals at t0, while -v'
+        # also depends on the solution's sigma'.
         below = traj.at(np.nextafter(SEED_T0, 0.0))
         above = traj.at(SEED_T0)
         for name in below._fields:
@@ -68,19 +71,19 @@ class TestSigmaTrajectory:
         assert np.all(np.diff(sigma) < 0)
 
     def test_reseeding_consistency(self, traj):
-        other = _solve(50.0, 2 * SEED_T0)
+        other = _solve(2 * SEED_T0)
         t = np.linspace(2 * SEED_T0, 15.0, 500)
         assert np.max(np.abs(other.at(t).sigma - traj.at(t).sigma)) <= 1e-8
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            integrate_sigma(0.0)
-        with pytest.raises(ValueError):
-            integrate_sigma(500.0)
+        # The trajectory reaches t = 200, so the laws reach s = 100/pi.
+        for s_max in (0.0, S_MAX_LIMIT * (1 + 1e-9), 500.0 / PI, float("nan")):
+            with pytest.raises(ValueError, match="s_max must lie"):
+                build_universal_cdf(2, s_max=s_max)
 
     def test_coverage_error(self, traj):
         with pytest.raises(ValueError, match="trajectory"):
-            gap_curves(traj, 40.0)  # needs 2*pi*40 > 140
+            gap_curves(traj, 40.0)  # needs 2*pi*40 > 200
 
     @pytest.mark.parametrize("method", ["log_gap2", "log_h"])
     def test_lookup_past_range_raises(self, traj, method):
@@ -132,6 +135,21 @@ class TestGapCurves:
                 -c.gap[idx + 2] + 8 * c.gap[idx + 1] - 8 * c.gap[idx - 1] + c.gap[idx - 2]
             ) / (12 * h)
             assert np.max(np.abs(fd - c.gap_prime[idx])) < 1e-6
+
+    def test_grid_stops_at_s_max(self, traj, curves):
+        # The grid of 9.9996 used to end at 10, and that of 100/pi past the
+        # trajectory; a multiple of GAP_STEP keeps its grid.
+        assert curves[2].grid.tobytes() == (GAP_STEP * np.arange(10001)).tobytes()
+        for s_max in (9.9996, S_MAX_LIMIT):
+            grid = gap_curves(traj, s_max)[2].grid
+            assert grid[-1] == s_max and np.all(np.diff(grid) > 0)
+
+    def test_tail_underflow_builds_the_law(self, traj):
+        # G_4 underflows to exactly 0 from s = 17.37 on and G_2 from 24.554,
+        # where F = 1 + G' is exactly 1; that used to abort the table.
+        curves = gap_curves(traj, 25.0)
+        assert curves[2].gap[-1] == 0.0 and curves[4].gap[-1] == 0.0
+        assert universal_cdf(curves[4], 100).cdf[-1] == 1.0
 
     def test_point_lookup_matches_table(self, traj, curves):
         # gap_probability and gap_curves read the same lookup, so a point
@@ -240,28 +258,27 @@ def test_cdf_csv_round_trip(tmp_path, cdfs):
 
 
 def test_build_universal_cdf_shares_trajectory(monkeypatch):
-    # The one route to the sigma solution is the module's memoized solve.
-    reaches = []
+    # The one route to the sigma solution is the module's cached solve.
+    calls = []
     solve = gaps.integrate_sigma
-    monkeypatch.setattr(gaps, "integrate_sigma", lambda t: reaches.append(t) or solve(t))
+    monkeypatch.setattr(gaps, "integrate_sigma", lambda: calls.append(1) or solve())
     cdf = build_universal_cdf(2, s_max=6.0, m_nodes=10)
-    assert reaches == [pytest.approx(2 * PI * 6.0)]
+    assert calls == [1]
     assert cdf.node_count == 10
     assert cdf.grid[-1] == pytest.approx(6.0)
 
 
-class TestSolveOncePerReach:
-    """One process solves the sigma-BVP once per (far end, seed point)."""
+class TestSolveOnce:
+    """One process solves the sigma-BVP once, to T_MAX_LIMIT."""
 
-    def test_reaches_up_to_50_share_one_solve(self):
-        assert integrate_sigma(9.4) is integrate_sigma(15.7)
-        assert integrate_sigma(9.4).t_max == 50.0
-        assert integrate_sigma(2 * PI * 10) is not integrate_sigma(9.4)
+    def test_repeated_call_returns_one_trajectory(self):
+        assert integrate_sigma() is integrate_sigma()
+        assert integrate_sigma().t_max == T_MAX_LIMIT
 
     def test_memoized_equals_fresh_solve(self):
-        t = np.linspace(0.0, 2 * PI * 10, 2001)
-        memo = integrate_sigma(2 * PI * 10).at(t)
-        fresh = _solve.__wrapped__(2 * PI * 10, SEED_T0).at(t)
+        t = np.linspace(0.0, T_MAX_LIMIT, 2001)
+        memo = integrate_sigma().at(t)
+        fresh = _solve(SEED_T0).at(t)
         for name in memo._fields:
             assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes(), name
 
@@ -271,21 +288,21 @@ class TestSolveOncePerReach:
         def failing(*args):
             raise RuntimeError("sigma-ODE collocation failed: mesh nodes exceeded")
 
-        _solve.cache_clear()
+        integrate_sigma.cache_clear()
         monkeypatch.setattr(gaps, "_collocate", failing)
         with pytest.raises(RuntimeError, match="collocation failed"):
-            integrate_sigma(10.0)
+            integrate_sigma()
         monkeypatch.setattr(gaps, "_collocate", real)
-        assert integrate_sigma(10.0).t_max == 50.0
+        assert integrate_sigma().t_max == T_MAX_LIMIT
 
-    def test_laws_sequence_solves_twice(self, monkeypatch, tmp_path):
+    def test_laws_sequence_solves_once(self, monkeypatch, tmp_path):
         real, calls = gaps._collocate, []
 
         def counted(mesh, *args):
             calls.append(mesh[-1])
             return real(mesh, *args)
 
-        _solve.cache_clear()
+        integrate_sigma.cache_clear()
         monkeypatch.setattr(gaps, "_collocate", counted)
         argvs = [
             ["universal", "--beta", str(b), "--s-max", "10", "--out", str(tmp_path)]
@@ -298,17 +315,18 @@ class TestSolveOncePerReach:
         ]
         with contextlib.redirect_stdout(io.StringIO()):
             assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
-        assert calls == [2 * PI * 10, 50.0]
+        assert calls == [T_MAX_LIMIT]
 
 
 class TestCollocation:
     """The numpy collocation solve against scipy's solve_bvp, which implements
     the same Lobatto IIIA discretization and residual rule."""
 
-    @staticmethod
-    def solve_bvp_trajectory(t_far):
-        # The problem exactly as gaps._solve poses it: bc, mesh and guess.
-        seed, far = _seed(SEED_T0), _asym(t_far)
+    def test_matches_solve_bvp(self):
+        # The problem as gaps._solve poses it, bc, mesh and guess, but with
+        # both integrals as Newton unknowns: the summed integrals must equal
+        # the coupled solution.
+        seed, far = _seed(SEED_T0), _asym(T_MAX_LIMIT)
 
         def bc(ya, yb):
             return np.array(
@@ -316,10 +334,7 @@ class TestCollocation:
             )
 
         mesh = np.concatenate(
-            [
-                np.geomspace(SEED_T0, 4.0, 200),
-                np.linspace(4.02, t_far, max(600, int(12 * t_far))),
-            ]
+            [np.geomspace(SEED_T0, 4.0, 200), np.linspace(4.02, T_MAX_LIMIT, 2400)]
         )
         guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
         y0 = np.vstack([guess, np.zeros((2, mesh.size))])
@@ -328,13 +343,9 @@ class TestCollocation:
             _sigma_rhs, bc, mesh, y0, tol=1e-10, max_nodes=400000
         )
         assert sol.status == 0, sol.message
-        return SigmaTrajectory(t_max=t_far, _dense=sol.sol)
-
-    @pytest.mark.parametrize("t_far", [50.0, 2 * PI * 10, 140.0])
-    def test_matches_solve_bvp(self, t_far):
-        t = np.linspace(0.0, t_far, 5001)
-        ours = integrate_sigma(t_far).at(t)
-        theirs = self.solve_bvp_trajectory(t_far).at(t)
+        t = np.linspace(0.0, T_MAX_LIMIT, 5001)
+        ours = integrate_sigma().at(t)
+        theirs = SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=sol.sol).at(t)
         for name in ours._fields:
             diff = np.max(np.abs(getattr(ours, name) - getattr(theirs, name)))
             assert diff <= 1e-11, (name, diff)
@@ -344,25 +355,25 @@ class TestCollocation:
         # 48 intervals halve to 3 before an odd count carries one over; 49
         # carry one over at the first level.
         x = np.concatenate([np.geomspace(SEED_T0, 4.0, 20), np.linspace(5.0, 50.0, nodes - 20)])
-        y = np.vstack(integrate_sigma(50.0)._dense(x))
+        y = np.vstack(integrate_sigma()._dense(x)[:2])
         seed = _seed(SEED_T0)
-        bc = np.array([seed[0], seed[4], seed[5], _asym(50.0)[0]])
+        bc = np.array([seed[0], seed[4], seed[5], _asym(T_MAX_LIMIT)[0]])
         y_mid = _collocation_residual(x, y, bc)[3]
         d_left, d_right = _jacobian_blocks(x, y, y_mid)
         # The system in _collocation_residual's row order, unknowns node by node.
-        dense = np.zeros((4 * nodes, 4 * nodes))
-        dense[[0, 1, 2, -1], [0, 2, 3, 4 * nodes - 4]] = 1.0
+        dense = np.zeros((2 * nodes, 2 * nodes))
+        dense[[0, -1], [0, 2 * nodes - 2]] = 1.0
         for i in range(nodes - 1):
-            dense[3 + 4 * i : 7 + 4 * i, 4 * i : 4 * i + 4] = d_left[i]
-            dense[3 + 4 * i : 7 + 4 * i, 4 * i + 4 : 4 * i + 8] = d_right[i]
-        rhs = rng.standard_normal(4 * nodes)
-        want = np.linalg.solve(dense, rhs).reshape(-1, 4).T
+            dense[1 + 2 * i : 3 + 2 * i, 2 * i : 2 * i + 2] = d_left[i]
+            dense[1 + 2 * i : 3 + 2 * i, 2 * i + 2 : 2 * i + 4] = d_right[i]
+        rhs = rng.standard_normal(2 * nodes)
+        want = np.linalg.solve(dense, rhs).reshape(-1, 2).T
         got = _block_solve(d_left, d_right, rhs)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cap", [("MAX_NODES", 1000), ("NEWTON_STEPS", 2)])
     def test_exhausted_solve_raises(self, monkeypatch, cap):
-        # The first mesh at t = 50 has 800 nodes and needs 7 Newton steps.
+        # The first mesh has 2600 nodes and needs 7 Newton steps.
         monkeypatch.setattr(gaps, *cap)
         with pytest.raises(RuntimeError, match="collocation failed"):
-            _solve.__wrapped__(50.0, SEED_T0)
+            _solve(SEED_T0)
