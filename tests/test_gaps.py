@@ -322,7 +322,8 @@ class TestCollocation:
     """The numpy collocation solve against scipy's solve_bvp, which implements
     the same Lobatto IIIA discretization and residual rule."""
 
-    def test_matches_solve_bvp(self):
+    @pytest.fixture(scope="class")
+    def solve_bvp_trajectory(self):
         # The problem as gaps._solve poses it, bc, mesh and guess, but with
         # both integrals as Newton unknowns: the summed integrals must equal
         # the coupled solution.
@@ -343,9 +344,15 @@ class TestCollocation:
             _sigma_rhs, bc, mesh, y0, tol=1e-10, max_nodes=400000
         )
         assert sol.status == 0, sol.message
-        t = np.linspace(0.0, T_MAX_LIMIT, 5001)
+        return SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=sol.sol)
+
+    # Each reach is the stretch of the one solution that the laws up to
+    # s = reach / (2 pi) read.
+    @pytest.mark.parametrize("reach", [50.0, 2 * PI * 10, 140.0, T_MAX_LIMIT])
+    def test_matches_solve_bvp(self, reach, solve_bvp_trajectory):
+        t = np.linspace(0.0, reach, 5001)
         ours = integrate_sigma().at(t)
-        theirs = SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=sol.sol).at(t)
+        theirs = solve_bvp_trajectory.at(t)
         for name in ours._fields:
             diff = np.max(np.abs(getattr(ours, name) - getattr(theirs, name)))
             assert diff <= 1e-11, (name, diff)
