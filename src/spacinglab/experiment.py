@@ -99,8 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"sizes must be a non-empty list, got {self.sizes!r}")
         for name, value, least, bound in (
             ("beta", self.beta, 1, 5),
-            *(("each size", n, 8, math.inf) for n in sizes),
-            # stream_id packs the draw into the low 20 bits.
+            # stream_id packs size and draw into 44 + 20 bits of Philox's key.
+            *(("each size", n, 8, 2**44) for n in sizes),
             ("draws", self.draws, 1, DRAWS_LIMIT),
             # Philox truncates a fractional seed, so 1.5 would replay seed 1
             # under another digest.

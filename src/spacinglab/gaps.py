@@ -138,7 +138,7 @@ class Lookup(NamedTuple):
 
 @dataclass(frozen=True)
 class SigmaTrajectory:
-    """Painleve sigma function and its gap integrals on [t0, t_max].
+    """Painleve sigma function and its gap integrals on [0, T_MAX_LIMIT].
 
     One collocation solution of the sigma-BVP carries sigma, sigma' and the
     cumulative integrals from 0 of v and of sqrt(-v')/2; ``at`` reads every
@@ -146,22 +146,22 @@ class SigmaTrajectory:
     series below SEED_T0.
     """
 
-    t_max: float
     _dense: object = field(repr=False)
 
     def at(self, t) -> Lookup:
         """Every row of the trajectory at t.
 
-        A lookup past ``t_max`` raises ValueError instead of clamping.  -v'
+        A lookup past T_MAX_LIMIT raises ValueError instead of clamping; it
+        is the reach check of every G_beta read from the trajectory.  -v'
         is clamped against roundoff, and raises RuntimeError if it
         undershoots the clamp: on the true branch it is non-negative for all t.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t > self.t_max * (1 + 1e-12)):
+        if np.any(t > T_MAX_LIMIT * (1 + 1e-12)):
             raise ValueError(
-                f"trajectory covers t <= {self.t_max}, requested {float(np.max(t))}"
+                f"trajectory covers t <= {T_MAX_LIMIT}, requested {float(np.max(t))}"
             )
-        safe = np.clip(t, SEED_T0, self.t_max)
+        safe = np.clip(t, SEED_T0, T_MAX_LIMIT)
         sig, sigp, el, jay = self._dense(safe)
         solved = [sig, sig / safe, (sig - safe * sigp) / (safe * safe), el, jay]
         rows = np.where(t < SEED_T0, _seed(t)[[0, 2, 3, 4, 5]], solved)
@@ -210,7 +210,7 @@ def _solve(seed_at: float) -> SigmaTrajectory:
     near = np.linspace(seed_at, 10 * seed_at, 50)
     if np.max(np.abs(dense(near)[0] - _seed(near)[0])) > 1e-8:
         raise RuntimeError(f"sigma-ODE branch violation at t={10 * seed_at:g}")
-    return SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=dense)
+    return SigmaTrajectory(dense)
 
 
 def _collocate(x, y, bc):
@@ -411,27 +411,21 @@ def _gap_and_slope(traj: SigmaTrajectory, beta: int, s):
     return np.exp(0.5 * el) * np.cosh(jay), g4p
 
 
-def gap_curves(traj: SigmaTrajectory, s_max: float) -> dict[int, GapCurve]:
-    """Tabulate G_1, G_2, G_4 and their derivatives on [0, s_max] in steps
-    of GAP_STEP, up to s_max rounded to a step but never past s_max.
+def gap_curves(traj: SigmaTrajectory, beta: int, s_max: float) -> GapCurve:
+    """Tabulate G_beta and its derivative on [0, s_max] in steps of
+    GAP_STEP, up to s_max rounded to a step but never past s_max.
 
-    Requires the trajectory to reach pi*s_max for beta=1,2 and 2*pi*s_max for
-    beta=4.  G_4 underflows to 0 from s = 17.37 on and G_2 from 24.554.
+    G_beta at s reads the trajectory at t = pi*s, or 2*pi*s for beta=4, and
+    the trajectory's lookup refuses any t past its reach.  G_4 underflows to
+    0 from s = 17.37 on and G_2 from 24.554.
     """
-    if traj.t_max < 2 * PI * s_max * (1 - 1e-12):
-        raise ValueError(
-            f"trajectory reaches t={traj.t_max:g} but 2*pi*s_max={2 * PI * s_max:g} is needed"
-        )
     grid = np.minimum(np.arange(0.0, s_max + GAP_STEP / 2, GAP_STEP), s_max)
-    curves = {
-        beta: GapCurve(beta, grid, *_gap_and_slope(traj, beta, grid)) for beta in (1, 2, 4)
-    }
-    for c in curves.values():
-        if np.any(c.gap_prime > 1e-10) or np.any(np.diff(c.gap) > 1e-12):
-            raise RuntimeError(f"gap probability for beta={c.beta} is not decreasing")
-        if c.gap[0] < 1.0 - 1e-6 or np.any(c.gap < 0.0):
-            raise RuntimeError(f"gap probability for beta={c.beta} leaves [0, 1]")
-    return curves
+    curve = GapCurve(beta, grid, *_gap_and_slope(traj, beta, grid))
+    if np.any(curve.gap_prime > 1e-10) or np.any(np.diff(curve.gap) > 1e-12):
+        raise RuntimeError(f"gap probability for beta={beta} is not decreasing")
+    if curve.gap[0] < 1.0 - 1e-6 or np.any(curve.gap < 0.0):
+        raise RuntimeError(f"gap probability for beta={beta} leaves [0, 1]")
+    return curve
 
 
 @dataclass(frozen=True)
@@ -502,8 +496,7 @@ def build_universal_cdf(
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s_max <= S_MAX_LIMIT:
         raise ValueError(f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {s_max:g}")
-    curves = gap_curves(integrate_sigma(), s_max)
-    return universal_cdf(curves[beta], m_nodes)
+    return universal_cdf(gap_curves(integrate_sigma(), beta, s_max), m_nodes)
 
 
 def gap_probability(traj: SigmaTrajectory, beta: int, s: float) -> float:

@@ -21,7 +21,7 @@ def traj():
 
 @pytest.fixture(scope="session")
 def curves(traj):
-    return gap_curves(traj, 10.0)
+    return {beta: gap_curves(traj, beta, 10.0) for beta in (1, 2, 4)}
 
 
 @pytest.fixture(scope="session")

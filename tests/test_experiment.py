@@ -605,12 +605,18 @@ class TestCli:
     def test_gap_past_trajectory_fails(self, capsys):
         # G_beta(s) needs the trajectory at t = pi*s (2*pi*s for beta=4), which
         # reaches t = 200; the message names --s, the value the user set, and
-        # a flag out of its route's range is a usage error.
-        assert main(["gap", "--beta", "4", "--s", "31.8"]) == 0
-        capsys.readouterr()
-        for beta, s, limit in (("2", "70", "200/pi = 63.6620"), ("4", "40", "100/pi = 31.8310")):
+        # a flag out of its route's range is a usage error.  The fredholm
+        # route (beta=2) has the same reach: past it 60 nodes no longer
+        # resolve the sine kernel, and s = 200 used to print 57639462.07.
+        for beta, method, inside, s, limit in (
+            ("2", "painleve", "63.66", "70", "200/pi = 63.6620"),
+            ("4", "painleve", "31.8", "40", "100/pi = 31.8310"),
+            ("2", "fredholm", "63.66", "70", "200/pi = 63.6620"),
+        ):
+            assert main(["gap", "--beta", beta, "--s", inside, "--method", method]) == 0
+            capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
-                main(["gap", "--beta", beta, "--s", s])
+                main(["gap", "--beta", beta, "--s", s, "--method", method])
             assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -753,7 +759,9 @@ class TestCli:
          # Past the trajectory's reach, below zero, outside the semicircle.
          {"s_max": 40}, {"s_max": -1}, {"window_a": 3.0},
          # A repeated size used to write each of its rows twice.
-         {"sizes": [16, 16]}],
+         {"sizes": [16, 16]},
+         # stream_id has 44 bits for the size: 2**44 used to overflow Philox's key.
+         {"sizes": [2**44]}],
     )
     def test_bad_config_fails_before_writing(self, tmp_path, capsys, field):
         cfg = tmp_path / "c.json"
@@ -763,6 +771,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("build_universal_cdf", ["universal", "--beta", "2", "--nodes", "1000000000000"]),
+         ("run_verify", ["verify", "--sizes", "1000000000000", "--draws", "1"])],
+    )
+    def test_memory_error_is_one_line(self, monkeypatch, tmp_path, capsys, name, argv):
+        # Such sizes used to end in numpy's _ArrayMemoryError traceback; the
+        # allocation fails here by stand-in, so that no test allocates it.
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(spacinglab.cli, name, too_big)
+        assert main([*argv, "--out", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
 
     def test_verify_smoke(self, tmp_path, capsys):
         rc = main(

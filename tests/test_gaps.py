@@ -66,7 +66,7 @@ class TestSigmaTrajectory:
             ), name
 
     def test_sigma_negative_and_decreasing(self, traj):
-        sigma = traj.at(np.arange(SEED_T0, traj.t_max + 5e-4, 1e-3)).sigma
+        sigma = traj.at(np.arange(SEED_T0, T_MAX_LIMIT + 5e-4, 1e-3)).sigma
         assert np.all(sigma < 0)
         assert np.all(np.diff(sigma) < 0)
 
@@ -83,20 +83,20 @@ class TestSigmaTrajectory:
 
     def test_coverage_error(self, traj):
         with pytest.raises(ValueError, match="trajectory"):
-            gap_curves(traj, 40.0)  # needs 2*pi*40 > 200
+            gap_curves(traj, 4, 40.0)  # needs 2*pi*40 > 200
 
     @pytest.mark.parametrize("method", ["log_gap2", "log_h"])
     def test_lookup_past_range_raises(self, traj, method):
         def lookup(t):
             return getattr(traj.at(t), method)
 
-        assert np.isfinite(lookup(traj.t_max))
+        assert np.isfinite(lookup(T_MAX_LIMIT))
         with pytest.raises(ValueError, match="trajectory covers"):
-            lookup(traj.t_max + 1.0)
+            lookup(T_MAX_LIMIT + 1.0)
         with pytest.raises(ValueError, match="trajectory covers"):
-            lookup(np.array([1.0, 2.0 * traj.t_max]))
+            lookup(np.array([1.0, 2.0 * T_MAX_LIMIT]))
         with pytest.raises(ValueError, match="trajectory covers"):
-            gap_probability(traj, 2, traj.t_max / PI + 1.0)
+            gap_probability(traj, 2, T_MAX_LIMIT / PI + 1.0)
         for s in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 gap_probability(traj, 2, s)
@@ -141,15 +141,15 @@ class TestGapCurves:
         # trajectory; a multiple of GAP_STEP keeps its grid.
         assert curves[2].grid.tobytes() == (GAP_STEP * np.arange(10001)).tobytes()
         for s_max in (9.9996, S_MAX_LIMIT):
-            grid = gap_curves(traj, s_max)[2].grid
+            grid = gap_curves(traj, 2, s_max).grid
             assert grid[-1] == s_max and np.all(np.diff(grid) > 0)
 
     def test_tail_underflow_builds_the_law(self, traj):
         # G_4 underflows to exactly 0 from s = 17.37 on and G_2 from 24.554,
         # where F = 1 + G' is exactly 1; that used to abort the table.
-        curves = gap_curves(traj, 25.0)
-        assert curves[2].gap[-1] == 0.0 and curves[4].gap[-1] == 0.0
-        assert universal_cdf(curves[4], 100).cdf[-1] == 1.0
+        g2, g4 = (gap_curves(traj, beta, 25.0) for beta in (2, 4))
+        assert g2.gap[-1] == 0.0 and g4.gap[-1] == 0.0
+        assert universal_cdf(g4, 100).cdf[-1] == 1.0
 
     def test_point_lookup_matches_table(self, traj, curves):
         # gap_probability and gap_curves read the same lookup, so a point
@@ -268,12 +268,25 @@ def test_build_universal_cdf_shares_trajectory(monkeypatch):
     assert cdf.grid[-1] == pytest.approx(6.0)
 
 
+def test_build_universal_cdf_tabulates_its_beta_alone(monkeypatch):
+    # Every law used to tabulate and check G_1, G_2 and G_4 to keep one.
+    real, betas = gaps._gap_and_slope, []
+
+    def counted(traj, beta, s):
+        betas.append(beta)
+        return real(traj, beta, s)
+
+    monkeypatch.setattr(gaps, "_gap_and_slope", counted)
+    cdf = build_universal_cdf(1, 10.0, 100)
+    assert betas == [1]
+    assert cdf.beta == 1
+
+
 class TestSolveOnce:
     """One process solves the sigma-BVP once, to T_MAX_LIMIT."""
 
     def test_repeated_call_returns_one_trajectory(self):
         assert integrate_sigma() is integrate_sigma()
-        assert integrate_sigma().t_max == T_MAX_LIMIT
 
     def test_memoized_equals_fresh_solve(self):
         t = np.linspace(0.0, T_MAX_LIMIT, 2001)
@@ -293,7 +306,7 @@ class TestSolveOnce:
         with pytest.raises(RuntimeError, match="collocation failed"):
             integrate_sigma()
         monkeypatch.setattr(gaps, "_collocate", real)
-        assert integrate_sigma().t_max == T_MAX_LIMIT
+        assert isinstance(integrate_sigma(), SigmaTrajectory)
 
     def test_laws_sequence_solves_once(self, monkeypatch, tmp_path):
         real, calls = gaps._collocate, []
@@ -344,7 +357,7 @@ class TestCollocation:
             _sigma_rhs, bc, mesh, y0, tol=1e-10, max_nodes=400000
         )
         assert sol.status == 0, sol.message
-        return SigmaTrajectory(t_max=T_MAX_LIMIT, _dense=sol.sol)
+        return SigmaTrajectory(sol.sol)
 
     # Each reach is the stretch of the one solution that the laws up to
     # s = reach / (2 pi) read.
