@@ -10,7 +10,8 @@ order.  Every (size, draw) spectrum is drawn once, by
 ``verify`` and ``identity``: its density psi is known (the semicircle value
 for the Gaussian convention, or the value a resumed run's manifest recorded)
 or else estimated from the size's pilot, its first min(32, draws) spectra,
-which are then scored as that size's first rows.
+which then travel to the task map with their tasks: ``_score_task`` scores
+every row, pilot or not.
 Result CSVs are append-only with a per-row checksum.  One output directory
 holds one config: a run into a directory with any result file must carry the
 config digest of the manifest written before the first row; it then
@@ -264,12 +265,15 @@ def _read_completed(path: Path) -> dict:
 
 
 def _check_resume(out: Path, digest: str) -> dict:
-    """Refuse to write into a directory whose results another config wrote.
+    """Refuse to write into a directory whose results another config wrote,
+    or rows of another layout.
 
     Rows are keyed by (n, draw) alone, and every result file in a directory
     shares one manifest and one summary.  So a directory that holds any
     ``results_beta*.csv`` belongs to the config digest of the manifest written
-    before its first row, and only that config may run there again.
+    before its first row, and only that config may run there again.  Each
+    such file's complete first line must be ``RESULT_HEADER``; an unterminated
+    one (half a header) counts as missing.
 
     Returns the psi per size that the accepted manifest recorded (empty when
     there is nothing to resume or it recorded none).
@@ -288,6 +292,15 @@ def _check_resume(out: Path, digest: str) -> dict:
             "one output directory holds one verify config: resume only with the "
             "same config or use a fresh output directory"
         )
+    for path in results:
+        with path.open("rb") as fh:
+            first = fh.readline()
+        if first.endswith(b"\n") and first != f"{RESULT_HEADER}\n".encode():
+            raise RuntimeError(
+                f"{path} has the header {first.decode(errors='replace').rstrip()!r}, "
+                f"not {RESULT_HEADER!r}: resume only with the code that wrote it "
+                "or use a fresh output directory"
+            )
     recorded = previous.get("psi")
     psi = {}
     # Each entry stands alone: one that does not parse costs only its size's pilot.
@@ -322,19 +335,19 @@ def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
 
 
 def _draw_spectrum(config: ExperimentConfig, task):
-    """Spectrum of task (n, draw) and the health of its sampler:
-    ``(values, (acceptance rate or None, warnings))``.  Every spectrum that
-    ``verify`` and ``identity`` score and ``sample`` dumps is drawn here."""
+    """``(values, state)``: the spectrum of task (n, draw) and the
+    ``SamplerState`` that drew it, whose counts and warnings are its health.
+    Every spectrum that ``verify``, ``identity`` and ``sample`` use is drawn here."""
     n, draw = task
     spec = EnsembleSpec(beta=config.beta, n=n, potential=config.potential)
     state = SamplerState(seed=config.seed, stream=stream_id(n, draw))
     if spec.is_gaussian:
-        return sample_tridiagonal(spec, state), (None, ())
+        return sample_tridiagonal(spec, state), state
     chain = sample_mcmc(spec, state, steps=600 + n, burn_in=500, thin=max(1, n // 10))
     last = None
     for last in chain:
         pass
-    return last, (state.acceptance_rate, tuple(state.warnings))
+    return last, state
 
 
 def _verify_row(config, windows, nodes, task, values) -> str:
@@ -376,9 +389,13 @@ def _identity_points(windows, corrupt, task, values):
     ]
 
 
-def _score_task(config, score, task):
-    values, health = _draw_spectrum(config, task)
-    return score(task, values), health
+def _score_task(config, score, job):
+    """The one place a row is scored: ``job`` is ``(task, drawn)``, where
+    ``drawn`` is the pilot's ``(values, state)`` of the task, or None to draw
+    it here.  Returns ``(task, score(task, values), state)``."""
+    task, drawn = job
+    values, state = drawn or _draw_spectrum(config, task)
+    return task, score(task, values), state
 
 
 @contextmanager
@@ -405,13 +422,13 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     or when the manifest of the run being resumed recorded it; otherwise it
     is estimated from that size's pilot, its first min(32, draws) spectra.
     The pilots are drawn through the task map before any row, and their
-    sampler health enters ``health`` before any estimate, so it reaches the
+    sampler states enter ``health`` before any estimate, so they reach the
     manifest also when an estimate aborts.
 
     Yields ``(windows, scored)``: ``scored(score, tasks)`` gives
-    ``(task, score(task, values), health)`` lazily and in task order; a
-    spectrum the pilot drew is scored here, the pool draws and scores the
-    rest.
+    ``(task, score(task, values), state)`` lazily and in task order.  Every
+    row is scored by ``_score_task`` in the task map; a pilot spectrum
+    travels there with its task, the others are drawn there.
     """
     gaussian = isinstance(config.potential, str)
     known = {n: float(semicircle_density(config.window_a)) for n in config.sizes if gaussian}
@@ -420,7 +437,7 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     with _task_map(config) as task_map:
         tasks = [(n, draw) for n in config.sizes if n not in known for draw in draws]
         pilots = dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
-        health.update((task, h) for task, (_, h) in pilots.items())
+        health.update((task, state) for task, (_, state) in pilots.items())
         windows = {}
         for n in config.sizes:
             pilot = [values for (m, _), (values, _) in pilots.items() if m == n]
@@ -428,16 +445,10 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
             windows[n] = default_window(n, psi, config.window_a, config.window_delta_exponent)
 
         def scored(score, tasks):
-            rest = [task for task in tasks if task not in pilots]
             # Chunks of up to 8 tasks, but never fewer chunks than workers.
-            chunksize = max(1, min(8, math.ceil(len(rest) / config.workers)))
-            pooled = task_map(partial(_score_task, config, score), rest, chunksize=chunksize)
-            for task in tasks:
-                if task in pilots:
-                    values, draw_health = pilots[task]
-                    yield task, score(task, values), draw_health
-                else:
-                    yield (task, *next(pooled))
+            chunksize = max(1, min(8, math.ceil(len(tasks) / config.workers)))
+            jobs = ((task, pilots.get(task)) for task in tasks)
+            return task_map(partial(_score_task, config, score), jobs, chunksize=chunksize)
 
         yield windows, scored
 
@@ -455,13 +466,13 @@ def _open_results(path: Path):
 
 
 def _record_health(manifest: RunManifest, health: dict) -> None:
-    """Sampler warnings per (n, draw) and MCMC acceptance per size, over the
-    chains this run drew, into the manifest."""
+    """Sampler warnings per (n, draw) and MCMC acceptance per size, read from
+    the ``SamplerState`` of each draw this run made, into the manifest."""
     rates = {}
-    for (n, draw), (rate, warnings) in sorted(health.items()):
-        manifest.warnings.extend(f"n={n}, draw={draw}: {w}" for w in warnings)
-        if rate is not None:
-            rates.setdefault(n, []).append(rate)
+    for (n, draw), state in sorted(health.items()):
+        manifest.warnings.extend(f"n={n}, draw={draw}: {w}" for w in state.warnings)
+        if state.proposed > 0:
+            rates.setdefault(n, []).append(state.acceptance_rate)
     for n, values in rates.items():
         manifest.mcmc_acceptance[str(n)] = {
             "chains": len(values),
@@ -534,10 +545,10 @@ def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_ps
             manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
             score = partial(_verify_row, config, windows, cdf.nodes)
             with _open_results(result_path) as fh:
-                for task, row, draw_health in scored(score, tasks):
+                for task, row, state in scored(score, tasks):
                     fh.write(row + "\n")
                     fh.flush()
-                    rows[task], health[task] = row, draw_health
+                    rows[task], health[task] = row, state
     finally:
         _record_health(manifest, health)
     # A resume that filled a hole appended rows after later ones: rewrite

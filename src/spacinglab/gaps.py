@@ -513,7 +513,8 @@ def fredholm_g2(s: float, n: int = 40) -> float:
     sine-kernel integral operator symmetrically as sqrt(w_i) K(x_i, x_j)
     sqrt(w_j); the determinant of I minus that matrix converges spectrally
     in n because the kernel is entire.  Entirely independent of the
-    Painleve route.
+    Painleve route.  Where G_2 underflows the determinant's roundoff can
+    fall below 0, so the value is clamped at +0.0.
     """
     if not 0 < s < np.inf:
         raise ValueError(f"s must be finite and positive, got {s}")
@@ -523,7 +524,7 @@ def fredholm_g2(s: float, n: int = 40) -> float:
     x = 0.5 * s * (x + 1.0)
     sw = np.sqrt(0.5 * s * w)
     m = np.eye(n) - sw[:, None] * np.sinc(x[:, None] - x[None, :]) * sw[None, :]
-    return float(np.linalg.det(m))
+    return max(0.0, float(np.linalg.det(m)))
 
 
 # Gauss-Legendre nodes per axis for each order k >= 2 of the correlation

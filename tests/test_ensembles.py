@@ -146,6 +146,67 @@ class TestDenseGOE:
         assert res.pvalue > 0.01
 
 
+# Significance level of the inter-class KS tests, the p-value below which a
+# negative control counts as rejected, and the draws a side that reject both
+# controls at every case.
+ALPHA = 1e-3
+CONTROL_P = 1e-6
+DRAWS = 4000
+
+
+def _tridiagonal_spectra(beta, n, draws, seed):
+    spec = EnsembleSpec(beta=beta, n=n)
+    return np.array(
+        [sample_tridiagonal(spec, SamplerState(seed=seed, stream=s)) for s in range(draws)]
+    )
+
+
+def _ks_pvalues(a, b):
+    """Two-sample KS p-values of the lowest, middle and top eigenvalue and
+    the bulk spacing below the middle one, for spectra in rows."""
+    mid = a.shape[1] // 2
+
+    def picks(x):
+        return x[:, 0], x[:, mid], x[:, -1], x[:, mid] - x[:, mid - 1]
+
+    return [stats.ks_2samp(u, v).pvalue for u, v in zip(picks(a), picks(b))]
+
+
+class TestInterClassRelations:
+    """Forrester-Rains relations between the three classes at finite n, in
+    the package's scaling (semicircle on [-2, 2] at every beta):
+    even(l(GOE_{2N+1})) = sqrt(2N/(2N+1)) l(GSE_N), and
+    alt(sqrt(N) l(GOE_N) u sqrt(N+1) l(GOE_{N+1})) = sqrt(N) l(GUE_N), where
+    even/alt keep the 2nd, 4th, ..., 2N-th of the sorted eigenvalues.  Each
+    relation is checked together with two negative controls it must reject:
+    the odd-indexed eigenvalues, and the right side scaled by 5 %."""
+
+    def _check(self, spectra, target):
+        even, odd = spectra[:, 1::2], spectra[:, 0:-1:2]
+        assert min(_ks_pvalues(even, target)) > ALPHA
+        assert min(_ks_pvalues(odd, target)) < CONTROL_P
+        assert min(_ks_pvalues(even, 1.05 * target)) < CONTROL_P
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_goe_decimation_is_gse(self, n):
+        goe = _tridiagonal_spectra(1, 2 * n + 1, DRAWS, seed=1201)
+        gse = _tridiagonal_spectra(4, n, DRAWS, seed=1202)
+        self._check(goe, np.sqrt(2 * n / (2 * n + 1)) * gse)
+
+    def test_goe_superposition_is_gue(self):
+        n = 8
+        merged = np.sort(
+            np.hstack(
+                [
+                    np.sqrt(n) * _tridiagonal_spectra(1, n, DRAWS, seed=1203),
+                    np.sqrt(n + 1) * _tridiagonal_spectra(1, n + 1, DRAWS, seed=1204),
+                ]
+            ),
+            axis=1,
+        )
+        self._check(merged, np.sqrt(n) * _tridiagonal_spectra(2, n, DRAWS, seed=1205))
+
+
 class TestMcmc:
     def test_deterministic_and_sorted(self):
         spec = EnsembleSpec(beta=2, n=12)

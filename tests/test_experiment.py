@@ -242,6 +242,44 @@ class TestVerifyRun:
         with pytest.raises(RuntimeError, match="config digest"):
             run_verify(tiny_config(tmp_path), cdf=tiny_cdf)
 
+    def test_resume_refuses_a_header_of_another_layout(self, tmp_path, capsys):
+        # A header with a column more, its last row dropped: the resume used
+        # to exit 0 and append a 10-field row under the 11-field header.
+        args = ["verify", "--sizes", "32", "--draws", "3", "--out", str(tmp_path)]
+        assert main(args) == 0
+        path = tmp_path / "results_beta2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace("bound,crc", "bound,ks,crc")
+        path.write_text("".join(lines[:-1]))
+        rows = path.read_bytes()
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bound,ks,crc" in err and err.count("\n") == 1
+        assert path.read_bytes() == rows
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_pool_scores_pilot_rows(self, tmp_path, tiny_cdf, monkeypatch):
+        # All three draws are pilot spectra; each row is scored in a worker,
+        # not in the parent.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched scorer reaches pool workers only through fork")
+        log = tmp_path / "pids"
+        real = experiment.sigma_cdf
+
+        def logged(rs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(rs)
+
+        monkeypatch.setattr(experiment, "sigma_cdf", logged)
+        cfg = tiny_config(tmp_path / "run", sizes=(8,), draws=3, potential=QUARTIC, workers=2)
+        run_verify(cfg, cdf=tiny_cdf)
+        pids = log.read_text().split()
+        assert len(pids) == 3
+        assert str(os.getpid()) not in pids
+
     def test_mcmc_chain_drawn_once_per_row(self, tmp_path, tiny_cdf, monkeypatch):
         # 34 draws: 32 pilot spectra become rows, the pool draws the last two.
         cfg = dict(sizes=(8,), draws=34, potential=QUARTIC)
@@ -423,8 +461,9 @@ class TestIdentityRun:
 
 
     def test_mcmc_chain_drawn_once(self, tmp_path, monkeypatch):
-        # 34 draws: 32 pilot spectra are checked in-process, the pool draws
-        # and checks the last two, and the report does not depend on workers.
+        # 34 draws: the 32 pilot spectra travel to the task map with their
+        # tasks, the last two are drawn there, every spectrum is checked there,
+        # and the report does not depend on workers.
         cfg = dict(sizes=(8,), draws=34, potential=QUARTIC)
         pooled = run_identity(tiny_config(tmp_path, workers=2, **cfg))
         streams = Counter()

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ class TestFredholm:
 
     def test_quadrature_self_convergence(self):
         assert abs(fredholm_g2(4.0, n=40) - fredholm_g2(4.0, n=80)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_never_below_zero(self, n):
+        # Where G_2 underflows the determinant's roundoff used to go below 0
+        # (-1.36e-199 at n = 40, s = 30) or give -0.0 (s = 40 at n = 60).
+        for s in np.linspace(20.0, 63.66, 400):
+            value = fredholm_g2(float(s), n=n)
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0, (s, value)
+
+    def test_cli_prints_zero_at_the_reach(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["gap", "--beta", "2", "--s", "63.66", "--method", "fredholm"]) == 0
+        assert out.getvalue() == "0\n"
 
     def test_validation(self):
         with pytest.raises(ValueError):
