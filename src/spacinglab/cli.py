@@ -58,8 +58,12 @@ RUN_FLAGS = (("seed", "seed", int), ("out", "out_dir", str), ("workers", "worker
 
 
 def _env(name: str, cast):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    return None if raw is None else cast(raw)
+    key = ENV_PREFIX + name.upper()
+    raw = os.environ.get(key)
+    try:
+        return None if raw is None else cast(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be {cast.__name__}, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

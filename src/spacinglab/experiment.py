@@ -163,7 +163,10 @@ def config_hash(config: ExperimentConfig) -> str:
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a config JSON file and apply overrides (CLI flags beat env vars,
     both beat the file)."""
-    data = json.loads(Path(path).read_text()) if path else {}
+    try:
+        data = json.loads(Path(path).read_text()) if path else {}
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     data.update(overrides or {})

@@ -25,7 +25,7 @@ by arbitrarily small perturbations.  A marching integrator therefore drifts
 off the connection no matter how small its local error; the trajectory is
 computed here as a two-point boundary value problem instead, collocating
 between the series seed at t0 and the algebraic expansion at the far end
-(Lobatto IIIA collocation with residual control, solved by Newton steps
+(Lobatto IIIA collocation on one graded mesh, solved by Newton steps
 whose block-bidiagonal systems cyclic reduction solves with batched QR).
 The same solution carries Int v and (1/2) Int sqrt(-v') as two more
 components, so G_1, G_2 and G_4 are read from it without a quadrature table;
@@ -79,11 +79,11 @@ S_MAX_LIMIT = T_MAX_LIMIT / (2 * PI)
 # slightly negative; anything beyond this clamp is a genuine branch violation.
 RADICAND_CLAMP = 1e-12
 
-# Collocation residual per mesh interval of the sigma-BVP, the mesh nodes its
-# refinement may reach and the Newton steps per mesh (the first mesh takes 7),
-# and the s-step of the tabulated gap curves.
+# Collocation residual per mesh interval of the sigma-BVP, the nodes of the
+# one mesh it is solved on and the Newton steps (the solve takes 8), and the
+# s-step of the tabulated gap curves.
 BVP_TOL = 1e-10
-MAX_NODES = 400_000
+MESH_NODES = 3000
 NEWTON_STEPS = 10
 GAP_STEP = 1e-3
 
@@ -195,17 +195,20 @@ def _solve(seed_at: float) -> SigmaTrajectory:
     seed = _seed(seed_at)
     # sigma, Int v and (1/2) Int sqrt(-v') at the seed, sigma at the far end.
     bc = np.array([seed[0], seed[4], seed[5], _asym(T_MAX_LIMIT)[0]])
-    mesh = np.r_[np.geomspace(seed_at, 4.0, 200), np.linspace(4.02, T_MAX_LIMIT, 2400)]
+    # Uniform in asinh(2t): even steps below t ~ 1/2, geometric ones beyond.
+    ends = np.arcsinh(2 * np.array([seed_at, T_MAX_LIMIT]))
+    mesh = np.sinh(np.linspace(*ends, MESH_NODES)) / 2
+    mesh[[0, -1]] = seed_at, T_MAX_LIMIT
     # sigma and sigma' from the series near the seed and the expansion beyond.
     guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
-    tt, y, dense = _collocate(mesh, guess, bc)
+    y, dense = _collocate(mesh, guess, bc)
 
     # Branch acceptance: radicand sign along the mesh and seed consistency.
     sig, sigp = y[:2]
-    a = tt * sigp - sig
+    a = mesh * sigp - sig
     rad = (-a) * (a + sigp * sigp)
     if np.any(rad < -RADICAND_CLAMP):
-        bad = tt[int(np.argmin(rad))]
+        bad = mesh[int(np.argmin(rad))]
         raise RuntimeError(f"sigma-ODE branch violation at t={bad:g}")
     near = np.linspace(seed_at, 10 * seed_at, 50)
     if np.max(np.abs(dense(near)[0] - _seed(near)[0])) > 1e-8:
@@ -214,60 +217,54 @@ def _solve(seed_at: float) -> SigmaTrajectory:
 
 
 def _collocate(x, y, bc):
-    """Solve the sigma-BVP from the guess y of sigma and sigma' on the mesh
-    x; returns the final mesh, the four components there and the dense
-    solution.
+    """Solve the sigma-BVP on the mesh x from the guess y of sigma and
+    sigma'; returns the four components at the nodes and the dense solution.
 
-    3-stage Lobatto IIIA collocation with residual control (Kierzenka &
-    Shampine, ACM TOMS 27, 2001): the solution is the C1 cubic through the
-    nodes whose slope matches the rhs at the nodes and interval midpoints.
-    Newton steps, one ``_block_solve`` each, solve a mesh for sigma and
-    sigma'; the integrals are then Simpson sums from their seed values
-    ``bc[1:3]``.  Each interval's rms residual of all four relative to
-    1 + |rhs| is estimated by Lobatto quadrature, and an interval above
-    BVP_TOL gets one node (two from 100 BVP_TOL on) before the next solve.
-    Raises RuntimeError if Newton does not converge or the mesh would pass
-    MAX_NODES.
+    3-stage Lobatto IIIA collocation, as in Kierzenka & Shampine (ACM TOMS
+    27, 2001): the solution is the C1 cubic through the nodes whose slope
+    matches the rhs at the nodes and interval midpoints.  Newton steps, one
+    ``_block_solve`` each, solve for sigma and sigma'; the integrals are
+    then Simpson sums from their seed values ``bc[1:3]``.  Each interval's
+    rms residual of all four relative to 1 + |rhs| is estimated by Lobatto
+    quadrature.  Raises RuntimeError if Newton does not converge or an
+    interval's residual exceeds BVP_TOL.
     """
-    while True:
-        h = np.diff(x)
-        # Newton stops 1.5 orders of magnitude below what the rms rule flags.
-        tol_col = (2.0 / 3.0) * h * 5e-2 * BVP_TOL
-        for steps in range(NEWTON_STEPS + 1):
-            res, col, f, y_mid, f_mid = _collocation_residual(x, y, bc)
-            bc_met = np.all(np.abs(res[[0, -1]]) < BVP_TOL)
-            if bc_met and np.all(np.abs(col) < tol_col * (1 + np.abs(f_mid[:2]))):
-                break
-            if steps == NEWTON_STEPS:
-                raise RuntimeError(
-                    f"sigma-ODE collocation failed: no Newton convergence on {x.size} nodes"
-                )
-            try:
-                y = y - _block_solve(*_jacobian_blocks(x, y, y_mid), res)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
+    h = np.diff(x)
+    # Newton stops 1.5 orders of magnitude below what the rms check flags.
+    tol_col = (2.0 / 3.0) * h * 5e-2 * BVP_TOL
+    for steps in range(NEWTON_STEPS + 1):
+        res, col, f, y_mid, f_mid = _collocation_residual(x, y, bc)
+        bc_met = np.all(np.abs(res[[0, -1]]) < BVP_TOL)
+        if bc_met and np.all(np.abs(col) < tol_col * (1 + np.abs(f_mid[:2]))):
+            break
+        if steps == NEWTON_STEPS:
+            raise RuntimeError(
+                f"sigma-ODE collocation failed: no Newton convergence on {x.size} nodes"
+            )
+        try:
+            y = y - _block_solve(*_jacobian_blocks(x, y, y_mid), res)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
 
-        simpson = np.c_[bc[1:3], h / 6 * (f[2:, :-1] + 4 * f_mid[2:] + f[2:, 1:])]
-        y4 = np.vstack([y, np.cumsum(simpson, axis=1)])
-        dense = _hermite(x, y4, f)
-        # The slope residual is 1.5 col / h at the midpoint (0 for the
-        # integrals) and 0 at the nodes.
-        r_mid = np.sum((1.5 * col / h / (1 + np.abs(f_mid[:2]))) ** 2, axis=0)
-        mid, off = x[:-1] + 0.5 * h, 0.5 * h * np.sqrt(3 / 7)
-        r_lob = 0.0
-        for t in (mid + off, mid - off):
-            ft = _sigma_rhs(t, dense(t))
-            r_lob = r_lob + np.sum(((dense(t, 1) - ft) / (1 + np.abs(ft))) ** 2, axis=0)
-        rms = np.sqrt(0.5 * (32 / 45 * r_mid + 49 / 90 * r_lob))
-        one = np.flatnonzero((rms > BVP_TOL) & (rms < 100 * BVP_TOL))
-        two = np.flatnonzero(rms >= 100 * BVP_TOL)
-        if one.size + two.size == 0:
-            return x, y4, dense
-        if x.size + one.size + 2 * two.size > MAX_NODES:
-            raise RuntimeError(f"sigma-ODE collocation failed: more than {MAX_NODES} nodes")
-        thirds = (2 * x[two] + x[two + 1]) / 3, (x[two] + 2 * x[two + 1]) / 3
-        x = np.sort(np.concatenate([x, 0.5 * (x[one] + x[one + 1]), *thirds]))
-        y = dense(x)[:2]
+    simpson = np.c_[bc[1:3], h / 6 * (f[2:, :-1] + 4 * f_mid[2:] + f[2:, 1:])]
+    y4 = np.vstack([y, np.cumsum(simpson, axis=1)])
+    dense = _hermite(x, y4, f)
+    # The slope residual is 1.5 col / h at the midpoint (0 for the
+    # integrals) and 0 at the nodes.
+    r_mid = np.sum((1.5 * col / h / (1 + np.abs(f_mid[:2]))) ** 2, axis=0)
+    mid, off = x[:-1] + 0.5 * h, 0.5 * h * np.sqrt(3 / 7)
+    r_lob = 0.0
+    for t in (mid + off, mid - off):
+        ft = _sigma_rhs(t, dense(t))
+        r_lob = r_lob + np.sum(((dense(t, 1) - ft) / (1 + np.abs(ft))) ** 2, axis=0)
+    rms = np.sqrt(0.5 * (32 / 45 * r_mid + 49 / 90 * r_lob))
+    worst = int(np.argmax(rms))
+    if rms[worst] > BVP_TOL:
+        raise RuntimeError(
+            f"sigma-ODE collocation failed: residual {rms[worst]:.2g} > {BVP_TOL:g} "
+            f"near t={mid[worst]:.3g}"
+        )
+    return y4, dense
 
 
 def _collocation_residual(x, y, bc):

@@ -161,6 +161,18 @@ def _tridiagonal_spectra(beta, n, draws, seed):
     )
 
 
+def _log_gas_spectra(potential, n, chains, seed):
+    """The last spectrum of each of ``chains`` beta = 4 log-gas chains, as
+    ``experiment._draw_spectrum`` runs them: 600 + n sweeps, burn-in 500."""
+    spec = EnsembleSpec(beta=4, n=n, potential=potential)
+    spectra = []
+    for stream in range(chains):
+        state = SamplerState(seed=seed, stream=stream)
+        *_, last = sample_mcmc(spec, state, steps=600 + n, burn_in=500, thin=max(1, n // 10))
+        spectra.append(last)
+    return np.array(spectra)
+
+
 def _ks_pvalues(a, b):
     """Two-sample KS p-values of the lowest, middle and top eigenvalue and
     the bulk spacing below the middle one, for spectra in rows."""
@@ -205,6 +217,20 @@ class TestInterClassRelations:
             axis=1,
         )
         self._check(merged, np.sqrt(n) * _tridiagonal_spectra(2, n, DRAWS, seed=1205))
+
+    @pytest.mark.slow
+    def test_goe_decimation_is_log_gas_gse(self):
+        # The log-gas at beta = 4 under the Gaussian in its c = 2 form, one
+        # chain of the pipeline's length per spectrum; the controls are the
+        # odd-indexed eigenvalues and a 10 % stronger confinement.
+        n, chains = 8, 400
+        goe = _tridiagonal_spectra(1, 2 * n + 1, DRAWS, seed=1206)
+        scale = np.sqrt(2 * n / (2 * n + 1))
+        gse = scale * _log_gas_spectra((0.0, 0.0, 0.5), n, chains, seed=1207)
+        stronger = scale * _log_gas_spectra((0.0, 0.0, 0.55), n, chains, seed=1208)
+        assert min(_ks_pvalues(goe[:, 1::2], gse)) > ALPHA
+        assert min(_ks_pvalues(goe[:, 0:-1:2], gse)) < CONTROL_P
+        assert min(_ks_pvalues(goe[:, 1::2], stronger)) < CONTROL_P
 
 
 class TestMcmc:

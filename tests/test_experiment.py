@@ -766,6 +766,28 @@ class TestCli:
                      "--out", str(tmp_path / "b")]) == 0
         assert len((tmp_path / "b" / "spectra_beta1_n8.csv").read_text().splitlines()) == 9
 
+    @pytest.mark.parametrize("content", [b'{"beta": 2,\n', b"\xff{}"], ids=["json", "utf8"])
+    def test_malformed_config_file_is_named(self, tmp_path, capsys, content):
+        # The line used to read only json's "Expecting property name ..." or
+        # the codec's "can't decode byte 0xff ...".
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "d"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} is not valid JSON: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("name, raw", [("SEED", "1.5"), ("WORKERS", "two")])
+    def test_malformed_env_variable_is_named(self, tmp_path, monkeypatch, capsys, name, raw):
+        # The line used to read only int's "invalid literal for int() ...".
+        monkeypatch.setenv(f"SPACINGLAB_{name}", raw)
+        out = tmp_path / "d"
+        assert main(["verify", "--sizes", "16", "--draws", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SPACINGLAB_{name} must be int, got {raw!r}\n"
+        assert not out.exists()
+
     def test_flag_beats_env_beats_file(self, tmp_path, monkeypatch):
         from spacinglab.cli import _build_parser, _config_from_args
 

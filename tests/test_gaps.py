@@ -314,7 +314,7 @@ class TestSolveOnce:
         real = gaps._collocate
 
         def failing(*args):
-            raise RuntimeError("sigma-ODE collocation failed: mesh nodes exceeded")
+            raise RuntimeError("sigma-ODE collocation failed: residual 2e-10 > 1e-10")
 
         integrate_sigma.cache_clear()
         monkeypatch.setattr(gaps, "_collocate", failing)
@@ -362,9 +362,9 @@ class TestCollocation:
                 [ya[0] - seed[0], yb[0] - far[0], ya[2] - seed[4], ya[3] - seed[5]]
             )
 
-        mesh = np.concatenate(
-            [np.geomspace(SEED_T0, 4.0, 200), np.linspace(4.02, T_MAX_LIMIT, 2400)]
-        )
+        ends = np.arcsinh(2 * np.array([SEED_T0, T_MAX_LIMIT]))
+        mesh = np.sinh(np.linspace(*ends, gaps.MESH_NODES)) / 2
+        mesh[[0, -1]] = SEED_T0, T_MAX_LIMIT
         guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
         y0 = np.vstack([guess, np.zeros((2, mesh.size))])
         # gaps.BVP_TOL, written out so that loosening it there shows here.
@@ -406,9 +406,30 @@ class TestCollocation:
         got = _block_solve(d_left, d_right, rhs)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("cap", [("MAX_NODES", 1000), ("NEWTON_STEPS", 2)])
+    @pytest.mark.parametrize(
+        "cap", [("MESH_NODES", 1500, "residual"), ("NEWTON_STEPS", 2, "no Newton")]
+    )
     def test_exhausted_solve_raises(self, monkeypatch, cap):
-        # The first mesh has 2600 nodes and needs 7 Newton steps.
-        monkeypatch.setattr(gaps, *cap)
-        with pytest.raises(RuntimeError, match="collocation failed"):
+        # The mesh has 3000 nodes and needs 8 Newton steps; on 1500 nodes
+        # Newton converges, but the residual reads 2.6e-10 near t = 3.2.
+        name, value, reason = cap
+        monkeypatch.setattr(gaps, name, value)
+        with pytest.raises(RuntimeError, match=f"collocation failed: {reason}"):
             _solve(SEED_T0)
+
+    def test_mesh_has_margin(self, monkeypatch):
+        # The largest interval residual is 0.33 BVP_TOL, so a mesh too
+        # coarse for half the tolerance fails here first.
+        monkeypatch.setattr(gaps, "BVP_TOL", gaps.BVP_TOL / 2)
+        assert isinstance(_solve(SEED_T0), SigmaTrajectory)
+
+    def test_one_mesh(self, monkeypatch):
+        real, meshes = gaps._hermite, []
+
+        def recorded(x, *args):
+            meshes.append(x.size)
+            return real(x, *args)
+
+        monkeypatch.setattr(gaps, "_hermite", recorded)
+        _solve(SEED_T0)
+        assert meshes == [gaps.MESH_NODES]
