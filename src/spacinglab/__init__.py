@@ -6,7 +6,15 @@ universal nearest-neighbour spacing laws computed from the limiting kernels
 machinery needed to verify their agreement at finite matrix size.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# One BLAS thread per process, set before numpy loads: the package runs in
+# parallel by processes, one per worker, and its largest dense matrix is the
+# 60x60 Fredholm matrix, too small for a thread pool to pay for the threads
+# numpy's and scipy's OpenBLAS each start.  A value the user exported wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .ensembles import (
     EnsembleSpec,

@@ -60,6 +60,8 @@ RUN_FLAGS = (("seed", "seed", int), ("out", "out_dir", str), ("workers", "worker
 def _env(name: str, cast):
     key = ENV_PREFIX + name.upper()
     raw = os.environ.get(key)
+    if raw == "":
+        raise ValueError(f"{key} is empty")
     try:
         return None if raw is None else cast(raw)
     except ValueError:

@@ -27,6 +27,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
@@ -74,6 +75,9 @@ DRAWS_LIMIT = 2**20
 
 # A table of more rows than this is written gzipped.
 GZIP_ROWS = 1_000_000
+
+# One CSV field: a value to 12 significant digits.
+FIELD = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -214,18 +218,21 @@ def _now() -> str:
 def _line(*values) -> str:
     """One CSV line, every value to 12 significant digits (an integer below
     1e12 reads as ``str`` writes it)."""
-    return ",".join(format(float(v), ".12g") for v in values)
+    return ",".join([FIELD] * len(values)) % values
 
 
 def write_table(path, header: str, rows) -> Path:
-    """Write ``header`` and one ``_line`` per row of values to ``path``,
-    creating its directory; above GZIP_ROWS rows the file is gzipped to
-    ``path`` + ``.gz``.  Returns the path written."""
+    """Write ``header`` and each row, as many ``FIELD``s as the header has
+    columns, to ``path`` in one ``%``, creating its directory; above
+    GZIP_ROWS rows the file is gzipped to ``path`` + ``.gz``.  Returns the
+    path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [header, *(_line(*row) for row in rows)]
-    text = "\n".join(lines) + "\n"
-    if len(lines) - 1 > GZIP_ROWS:
+    width = header.count(",") + 1
+    values = tuple(chain.from_iterable(rows))
+    count = len(values) // width
+    text = header + "\n" + ((",".join([FIELD] * width) + "\n") * count) % values
+    if count > GZIP_ROWS:
         import gzip  # only here: importing it costs every process ~0.1 MB
 
         path = path.with_suffix(path.suffix + ".gz")
@@ -477,11 +484,15 @@ def _record_health(manifest: RunManifest, health: dict) -> None:
         if state.proposed > 0:
             rates.setdefault(n, []).append(state.acceptance_rate)
     for n, values in rates.items():
+        values.sort()
+        mid = len(values) // 2
         manifest.mcmc_acceptance[str(n)] = {
             "chains": len(values),
-            "min": float(np.min(values)),
-            "median": float(np.median(values)),
-            "max": float(np.max(values)),
+            "min": values[0],
+            # np.median's value; np.median would load numpy.ma, and
+            # statistics.median decimal and fractions, into every process.
+            "median": values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2,
+            "max": values[-1],
         }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -788,6 +789,25 @@ class TestCli:
         assert err == f"error: SPACINGLAB_{name} must be int, got {raw!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("CONFIG", ["verify", "--sizes", "16", "--draws", "2"]),
+         ("OUT", ["verify", "--sizes", "16", "--draws", "2"]),
+         ("OUT", ["universal", "--beta", "2", "--nodes", "10"]),
+         ("SEED", ["sample", "--sizes", "8", "--draws", "1"]),
+         ("WORKERS", ["identity", "--sizes", "16", "--draws", "1"])],
+    )
+    def test_empty_env_variable_is_named(self, tmp_path, monkeypatch, capsys, name, argv):
+        # An empty SPACINGLAB_CONFIG used to fail as "[Errno 21] Is a
+        # directory: '.'", and an empty SPACINGLAB_OUT to write the run into
+        # the current directory and exit 0.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(f"SPACINGLAB_{name}", "")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: SPACINGLAB_{name} is empty\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_flag_beats_env_beats_file(self, tmp_path, monkeypatch):
         from spacinglab.cli import _build_parser, _config_from_args
 
@@ -867,6 +887,45 @@ class TestCli:
         jsonschema.validate(summary, SCHEMA)
 
 
+def _reference_line(row) -> str:
+    """The per-value CSV format that the one field format replaced, frozen
+    here as the reference every written byte is checked against."""
+    return ",".join(format(float(v), ".12g") for v in row)
+
+
+# Edge values of the 12-significant-digit field, one per row.
+EDGE_ROWS = [
+    (-0.0, 0.0), (math.inf, -math.inf), (math.nan, -math.nan), (5e-324, -5e-324),
+    (1e12 - 1, 1e12), (7, -3), (np.int64(2**60), np.int64(-1)),
+    (np.float64(1 / 3), np.float64(-2.0)), (2**53 + 1, True),
+]
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS)
+def test_line_matches_the_reference(row):
+    assert experiment._line(*row) == _reference_line(row)
+    assert experiment._line(*row, *row) == _reference_line(row + row)
+
+
+def test_write_table_matches_the_reference(tmp_path, monkeypatch):
+    text = "".join(f"{_reference_line(row)}\n" for row in EDGE_ROWS)
+    assert write_table(tmp_path / "t.csv", "a,b", EDGE_ROWS).read_text() == "a,b\n" + text
+    assert write_table(tmp_path / "e.csv", "a,b", iter(())).read_text() == "a,b\n"
+    # One row of three fields, as the spectrum dump writes them.
+    row = (np.int64(3), 12, np.float64(-1.25e-7))
+    path = write_table(tmp_path / "s.csv", "draw_id,index,eigenvalue", [row])
+    assert path.read_text() == f"draw_id,index,eigenvalue\n{_reference_line(row)}\n"
+    # The same bytes go gzipped, as path.gz, only above GZIP_ROWS rows.
+    monkeypatch.setattr(experiment, "GZIP_ROWS", len(EDGE_ROWS))
+    at = write_table(tmp_path / "at.csv", "a,b", EDGE_ROWS)
+    assert at == tmp_path / "at.csv" and at.read_text() == "a,b\n" + text
+    monkeypatch.setattr(experiment, "GZIP_ROWS", len(EDGE_ROWS) - 1)
+    above = write_table(tmp_path / "above.csv", "a,b", EDGE_ROWS)
+    assert above == tmp_path / "above.csv.gz" and not (tmp_path / "above.csv").exists()
+    with gzip.open(above, "rt") as fh:
+        assert fh.read() == "a,b\n" + text
+
+
 def test_write_table_gzips_above_threshold(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "GZIP_ROWS", 3)
     # A numpy scalar is written like a float, into a directory made for it.
@@ -879,3 +938,78 @@ def test_write_table_gzips_above_threshold(tmp_path, monkeypatch):
     assert not (tmp_path / "above.csv").exists()
     with gzip.open(above, "rt") as fh:
         assert fh.read() == text + "4,1e-20\n"
+
+
+def _fresh_python(code: str, **env) -> list:
+    """The words that ``code`` prints in a fresh interpreter that imports
+    this spacinglab, run with the environment of this one updated by ``env``
+    (a value of None removes its variable)."""
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(spacinglab.__file__).parents[1]), base.get("PYTHONPATH")])
+    )
+    for key, value in env.items():
+        if value is None:
+            base.pop(key, None)
+        else:
+            base[key] = value
+    return subprocess.run(
+        [sys.executable, "-c", code], env=base, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split()
+
+
+# One Gaussian draw loads scipy, and with it scipy's own OpenBLAS.
+GAUSSIAN_DRAW = (
+    "import os, sys, spacinglab\n"
+    "spacinglab.sample_tridiagonal(spacinglab.EnsembleSpec(beta=2, n=16),"
+    " spacinglab.SamplerState(seed=0))\n"
+    "assert 'scipy.linalg' in sys.modules\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+)
+
+
+class TestProcessStartup:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_one_blas_thread_by_default(self):
+        code = GAUSSIAN_DRAW + (
+            "print(*[line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('Threads:')])\n"
+        )
+        # numpy's and scipy's OpenBLAS used to start one more thread each.
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == ["1", "1"]
+
+    def test_exported_blas_threads_win(self):
+        assert _fresh_python(GAUSSIAN_DRAW, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_verify_loads_no_masked_arrays(self, tmp_path):
+        # np.median used to load numpy.ma for the manifest's acceptance
+        # median; statistics.median would load decimal and fractions.
+        code = (
+            "import sys\n"
+            "from spacinglab.experiment import ExperimentConfig, run_verify\n"
+            "run_verify(ExperimentConfig(beta=1, potential=(0, 0, 0, 0, 16), sizes=(16,),"
+            f" draws=3, out_dir={str(tmp_path)!r}))\n"
+            "print(*[m for m in ('numpy.ma', 'statistics', 'decimal') if m in sys.modules])\n"
+        )
+        assert _fresh_python(code) == []
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["mcmc_acceptance"]["16"]["chains"] == 3
+
+    @pytest.mark.parametrize("chains", [1, 2, 5, 8])
+    def test_acceptance_median_equals_numpy(self, chains):
+        rng = np.random.default_rng(chains)
+        proposed = rng.integers(900, 1100, chains)
+        health = {
+            (8, draw): spacinglab.SamplerState(
+                seed=0, stream=draw, accepted=int(rng.integers(1, p)), proposed=int(p)
+            )
+            for draw, p in enumerate(proposed)
+        }
+        rates = [state.acceptance_rate for state in health.values()]
+        manifest = experiment.RunManifest(config_digest="", code_version="", started_at="")
+        experiment._record_health(manifest, health)
+        assert manifest.mcmc_acceptance == {"8": {
+            "chains": chains, "min": float(np.min(rates)),
+            "median": float(np.median(rates)), "max": float(np.max(rates)),
+        }}
