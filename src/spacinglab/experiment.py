@@ -412,14 +412,12 @@ def _score_task(config, score, job):
 def _task_map(config: ExperimentConfig):
     """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
     order: in-process for one worker, else through one process pool that
-    serves every stage of the run."""
+    serves every stage of the run.  A worker loads the Gaussian draws'
+    eigensolver (LAPACK dsterf, ~4 ms) on its own first draw, so the parent,
+    which draws nothing, loads no scipy module."""
     if config.workers == 1:
         yield lambda fn, tasks, chunksize=1: map(fn, tasks)
         return
-    if isinstance(config.potential, str):
-        # Forked workers inherit the Gaussian draws' eigensolver instead of
-        # each importing it on its first draw.
-        import scipy.linalg  # noqa: F401
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
 

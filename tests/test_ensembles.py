@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 
 from oracles import CENTER_DENSITY, dense_goe_matrix, sample_dense_goe
+from spacinglab import ensembles
 from spacinglab.ensembles import (
     EnsembleSpec,
     SamplerState,
@@ -60,6 +62,29 @@ class TestTridiagonal:
                     vals = sample_tridiagonal(spec, SamplerState(seed=1, stream=stream))
                     assert vals.shape == (n,)
                     assert np.all(np.diff(vals) >= 0)
+
+    @each_beta
+    def test_same_bits_as_eigvalsh_tridiagonal(self, beta):
+        # The draw calls LAPACK's dsterf itself; the model rebuilt from its
+        # docstring and solved by scipy's public route to the same routine
+        # must give the same bits.
+        for n in (2, 3, 17, 101, 400, 1600):
+            scale = 1.0 / np.sqrt(beta * n)
+            for stream in range(3):
+                state = SamplerState(seed=13, stream=stream)
+                rng = state.generator()
+                diag = rng.normal(0.0, np.sqrt(2.0), n) * scale
+                off = np.sqrt(rng.chisquare(beta * np.arange(n - 1, 0, -1))) * scale
+                expected = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+                drawn = sample_tridiagonal(EnsembleSpec(beta=beta, n=n), state)
+                assert drawn.dtype == expected.dtype
+                assert drawn.tobytes() == expected.tobytes()
+
+    def test_failed_eigensolve_raises(self, monkeypatch):
+        # dsterf reports a failure through info, not by raising.
+        monkeypatch.setattr(ensembles, "_dsterf", lambda: lambda d, e: (d, 1))
+        with pytest.raises(RuntimeError, match=r"dsterf failed .* n=16 \(info=1\)"):
+            sample_tridiagonal(EnsembleSpec(beta=2, n=16), SamplerState(seed=0))
 
     def test_requires_gaussian(self):
         spec = EnsembleSpec(beta=2, n=16, potential=(0.0, 0.0, 1.0))
@@ -220,16 +245,18 @@ class TestInterClassRelations:
 
     @pytest.mark.slow
     def test_goe_decimation_is_log_gas_gse(self):
-        # The log-gas at beta = 4 under the Gaussian in its c = 2 form, one
-        # chain of the pipeline's length per spectrum; the controls are the
-        # odd-indexed eigenvalues and a 10 % stronger confinement.
+        # The log-gas at beta = 4 under the Gaussian, named and in its c = 2
+        # polynomial form (the same weight, another start), one chain of the
+        # pipeline's length per spectrum; the controls are the odd-indexed
+        # eigenvalues and a 10 % stronger confinement.
         n, chains = 8, 400
         goe = _tridiagonal_spectra(1, 2 * n + 1, DRAWS, seed=1206)
         scale = np.sqrt(2 * n / (2 * n + 1))
-        gse = scale * _log_gas_spectra((0.0, 0.0, 0.5), n, chains, seed=1207)
+        for potential, seed in [((0.0, 0.0, 0.5), 1207), ("gaussian", 1209)]:
+            gse = scale * _log_gas_spectra(potential, n, chains, seed=seed)
+            assert min(_ks_pvalues(goe[:, 1::2], gse)) > ALPHA
+            assert min(_ks_pvalues(goe[:, 0:-1:2], gse)) < CONTROL_P
         stronger = scale * _log_gas_spectra((0.0, 0.0, 0.55), n, chains, seed=1208)
-        assert min(_ks_pvalues(goe[:, 1::2], gse)) > ALPHA
-        assert min(_ks_pvalues(goe[:, 0:-1:2], gse)) < CONTROL_P
         assert min(_ks_pvalues(goe[:, 1::2], stronger)) < CONTROL_P
 
 

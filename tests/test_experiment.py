@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spacinglab
-from spacinglab import experiment
+from spacinglab import ensembles, experiment
 from spacinglab.cli import main
 from spacinglab.experiment import (
     ExperimentConfig,
@@ -556,10 +556,10 @@ class TestCli:
     def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
         # Only the Gaussian draws' tridiagonal eigensolver uses scipy: importing
         # the CLI, universal, gap by every route and a log-gas verify load no
-        # scipy module at all.  A Gaussian verify at two workers loads
-        # scipy.linalg in the parent, which draws nothing itself, so that the
-        # forked workers inherit it; neither it nor one at one worker loads
-        # scipy.special or the three subpackages above.
+        # scipy module at all.  A Gaussian verify at two workers loads none in
+        # the parent, which draws nothing itself; one at one worker loads
+        # LAPACK's dsterf from scipy.linalg._flapack alone.  Neither loads
+        # scipy.linalg, scipy.special or the three subpackages above.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(spacinglab.__file__).parents[1]), env.get("PYTHONPATH")])
@@ -587,10 +587,11 @@ class TestCli:
             "assert c.main(['verify', '--sizes', '16', '--draws', '2', '--workers', '2',"
             f" '--out', {str(tmp_path / 'v2')!r}]) == 0\n"
             "print('loaded:', loaded(), 'scipy.linalg' in sys.modules,"
-            " 'scipy.special' in sys.modules)\n"
+            " 'scipy.special' in sys.modules, scipy())\n"
             "assert c.main(['verify', '--sizes', '16', '--draws', '2', '--workers', '1',"
             f" '--out', {str(tmp_path / 'v')!r}]) == 0\n"
-            "print('loaded:', loaded(), 'scipy.special' in sys.modules)\n"
+            "print('loaded:', loaded(), 'scipy.linalg' in sys.modules,"
+            " 'scipy.special' in sys.modules, scipy())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -598,7 +599,19 @@ class TestCli:
         ).stdout
         lines = [line for line in out.splitlines() if line.startswith("loaded:")]
         assert lines == [
-            "loaded: [] []", "loaded: [] []", "loaded: [] True False", "loaded: [] False"
+            "loaded: [] []",
+            "loaded: [] []",
+            "loaded: [] False False []",
+            "loaded: [] False False ['scipy.linalg._flapack']",
+        ]
+
+    def test_failed_eigensolve_is_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ensembles, "_dsterf", lambda: lambda d, e: (d, 1))
+        argv = ["sample", "--sizes", "16", "--draws", "1", "--workers", "1",
+                "--out", str(tmp_path / "s")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: LAPACK dsterf failed on the tridiagonal draw at n=16 (info=1)"
         ]
 
     def test_gap_tiny_s(self, capsys):
@@ -959,12 +972,20 @@ def _fresh_python(code: str, **env) -> list:
     ).stdout.split()
 
 
-# One Gaussian draw loads scipy, and with it scipy's own OpenBLAS.
+# One Gaussian draw loads LAPACK's dsterf from scipy.linalg._flapack, and with
+# it scipy's own OpenBLAS (a library mapped by the draw, where /proc exists),
+# but not the scipy.linalg or scipy.special packages.
 GAUSSIAN_DRAW = (
     "import os, sys, spacinglab\n"
+    "def openblas():\n"
+    "    return {line.split()[-1] for line in open('/proc/self/maps') if 'openblas' in line}\n"
+    "proc = os.path.exists('/proc/self/maps')\n"
+    "before = openblas() if proc else set()\n"
     "spacinglab.sample_tridiagonal(spacinglab.EnsembleSpec(beta=2, n=16),"
     " spacinglab.SamplerState(seed=0))\n"
-    "assert 'scipy.linalg' in sys.modules\n"
+    "assert 'scipy.linalg._flapack' in sys.modules\n"
+    "assert 'scipy.linalg' not in sys.modules and 'scipy.special' not in sys.modules\n"
+    "assert not proc or openblas() - before, 'the draw mapped no OpenBLAS'\n"
     "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
 )
 
@@ -981,6 +1002,32 @@ class TestProcessStartup:
 
     def test_exported_blas_threads_win(self):
         assert _fresh_python(GAUSSIAN_DRAW, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_file_load_gives_the_bits_of_scipy_linalg(self):
+        # The first draw loads dsterf from its file, without scipy.linalg; an
+        # import of scipy.linalg afterwards reuses that module; with the file
+        # load refused, the public scipy.linalg.lapack.dsterf is called.
+        code = (
+            "import hashlib, sys, spacinglab\n"
+            "from spacinglab import ensembles\n"
+            "def digest():\n"
+            "    ensembles._dsterf.cache_clear()\n"
+            "    spec = spacinglab.EnsembleSpec(beta=4, n=400)\n"
+            "    draws = [spacinglab.sample_tridiagonal(spec, spacinglab.SamplerState(9, k))"
+            " for k in range(3)]\n"
+            "    return hashlib.sha256(b''.join(d.tobytes() for d in draws)).hexdigest()\n"
+            "print(digest(), 'scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg.lapack\n"
+            "print(digest(), ensembles._dsterf() is scipy.linalg.lapack.dsterf)\n"
+            "def refused():\n"
+            "    raise ImportError('refused')\n"
+            "ensembles._load_flapack = refused\n"
+            "del sys.modules['scipy.linalg._flapack']\n"
+            "print(digest(), ensembles._dsterf() is scipy.linalg.lapack.dsterf)\n"
+        )
+        by_file, linalg_loaded, reused, same, public, fallback = _fresh_python(code)
+        assert (linalg_loaded, same, fallback) == ("False", "True", "True")
+        assert by_file == reused == public
 
     def test_verify_loads_no_masked_arrays(self, tmp_path):
         # np.median used to load numpy.ma for the manifest's acceptance
