@@ -132,6 +132,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_universal(args) -> int:
+    if args.out == "":
+        raise ValueError("--out is empty")
     out = Path(args.out or _env("out", str) or ".")
     cdf = build_universal_cdf(args.beta, s_max=args.s_max, m_nodes=args.nodes)
     print(write_table(out / f"F_beta{cdf.beta}.csv", "s,F", zip(cdf.grid, cdf.cdf)))

@@ -3,9 +3,8 @@
 A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
 the single result writer appends each row in task order as it is scored, so
-reruns are byte identical regardless of worker count and a killed run keeps
-the rows before it; a resume that fills a hole rewrites the file in task
-order.  Every (size, draw) spectrum is drawn once, by
+reruns are byte identical regardless of worker count and a result file is
+always a prefix of a fresh run's.  Every (size, draw) spectrum is drawn once, by
 ``_draw_spectrum``.  One plan, ``_plan``, places each size's window for
 ``verify`` and ``identity``: its density psi is known (the semicircle value
 for the Gaussian convention, or the value a resumed run's manifest recorded)
@@ -14,8 +13,9 @@ which then travel to the task map with their tasks: ``_score_task`` scores
 every row, pilot or not.
 Result CSVs are append-only with a per-row checksum.  One output directory
 holds one config: a run into a directory with any result file must carry the
-config digest of the manifest written before the first row; it then
-validates existing rows and only computes the missing (size, draw) pairs.
+config digest of the manifest written before the first row; it then keeps
+the file's rows while each is the next task's, cuts the file after them and
+appends the rest.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class ExperimentConfig:
         # A process pool starts all its workers at once.
         if self.workers > (cpus := os.cpu_count() or 1):
             raise ValueError(f"workers must not exceed the {cpus} CPUs, got {self.workers}")
-        # Rows are keyed by (n, draw): a repeated size would score its rows twice.
+        # A row names its (n, draw): a repeated size would score its rows twice.
         if len(set(sizes)) < len(sizes):
             raise ValueError(f"sizes must be distinct, got {self.sizes!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
@@ -143,8 +143,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {self.s_max!r}"
             )
-        if not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        # An empty path would write the run into the current directory.
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -256,29 +257,11 @@ def _checksum(payload: str) -> str:
     return format(zlib.crc32(payload.encode()), "08x")
 
 
-def _read_completed(path: Path) -> dict:
-    """Validated rows of an existing result file, keyed by (n, draw).  An
-    unterminated last line (a killed run's last row) counts as missing."""
-    done = {}
-    if not path.exists():
-        return done
-    lines = path.read_text().split("\n")[:-1]
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        payload, _, crc = line.rpartition(",")
-        if _checksum(payload) != crc:
-            raise RuntimeError(f"corrupt result row in {path}: {line!r}")
-        parts = payload.split(",")
-        done[(int(parts[1]), int(parts[2]))] = line
-    return done
-
-
 def _check_resume(out: Path, digest: str) -> dict:
     """Refuse to write into a directory whose results another config wrote,
     or rows of another layout.
 
-    Rows are keyed by (n, draw) alone, and every result file in a directory
+    A row names only its (n, draw), and every result file in a directory
     shares one manifest and one summary.  So a directory that holds any
     ``results_beta*.csv`` belongs to the config digest of the manifest written
     before its first row, and only that config may run there again.  Each
@@ -462,15 +445,34 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
 
 
 @contextmanager
-def _open_results(path: Path):
-    """The result file, open for appending after its last complete line; a
-    file left without one starts again with the header."""
-    complete = path.read_bytes().rfind(b"\n") + 1 if path.exists() else 0
+def _open_results(path: Path, tasks: list):
+    """Yields ``(fh, rows)``: the result file, open for appending, and the
+    rows it keeps, a prefix of ``tasks``.
+
+    The file keeps its complete rows while each is the next task's; the
+    file is cut after the last of them.  A blank, repeated, out-of-order or
+    out-of-config row ends the prefix, and it and every row after it are
+    scored again, to the same bytes.  A row whose checksum fails, or that is
+    not UTF-8, raises.  A file without a complete header line starts again
+    with the header (``_check_resume`` has refused any other header).
+    """
+    lines = path.read_bytes().split(b"\n")[:-1] if path.exists() else []
+    rows = []
+    for line, task in zip(lines[1:], tasks):
+        if not line.strip():
+            break
+        row = line.decode(errors="replace")
+        payload, _, crc = row.rpartition(",")
+        if _checksum(payload) != crc:
+            raise RuntimeError(f"corrupt result row in {path}: {row!r}")
+        if payload.split(",")[1:3] != _line(*task).split(","):
+            break
+        rows.append(row)
     with path.open("a") as fh:
-        fh.truncate(complete)
-        if not complete:
+        fh.truncate(sum(len(line) + 1 for line in lines[: 1 + len(rows)]))
+        if not lines:
             fh.write(RESULT_HEADER + "\n")
-        yield fh
+        yield fh, rows
 
 
 def _record_health(manifest: RunManifest, health: dict) -> None:
@@ -545,37 +547,27 @@ def run_verify(
 
 
 def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_psi) -> dict:
-    result_path = out / f"results_beta{config.beta}.csv"
-    done = _read_completed(result_path)
-    if done:
-        manifest.warnings.append(f"resumed: {len(done)} rows already present")
-
-    tasks = [(n, d) for n in config.sizes for d in range(config.draws) if (n, d) not in done]
-    rows, health = dict(done), {}
+    tasks = [(n, d) for n in config.sizes for d in range(config.draws)]
+    health = {}
     try:
-        with _plan(config, recorded_psi, health) as (windows, scored):
-            manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
-            score = partial(_verify_row, config, windows, cdf.nodes)
-            with _open_results(result_path) as fh:
-                for task, row, state in scored(score, tasks):
+        with _open_results(out / f"results_beta{config.beta}.csv", tasks) as (fh, rows):
+            if rows:
+                manifest.warnings.append(f"resumed: {len(rows)} rows already present")
+            with _plan(config, recorded_psi, health) as (windows, scored):
+                manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
+                score = partial(_verify_row, config, windows, cdf.nodes)
+                for task, row, state in scored(score, tasks[len(rows):]):
                     fh.write(row + "\n")
                     fh.flush()
-                    rows[task], health[task] = row, state
+                    rows.append(row)
+                    health[task] = state
     finally:
         _record_health(manifest, health)
-    # A resume that filled a hole appended rows after later ones: rewrite
-    # the file in task order, so it equals a fresh run's.
-    order = [(n, d) for n in config.sizes for d in range(config.draws) if (n, d) in rows]
-    if list(rows) != order:
-        tmp = result_path.with_name(result_path.name + ".tmp")
-        tmp.write_text(RESULT_HEADER + "\n" + "".join(rows[task] + "\n" for task in order))
-        os.replace(tmp, result_path)
 
     per_size = {}
-    for n in config.sizes:
-        bounds = np.array(
-            [float(rows[(n, d)].split(",")[8]) for d in range(config.draws) if (n, d) in rows]
-        )
+    for i, n in enumerate(config.sizes):
+        size_rows = rows[i * config.draws : (i + 1) * config.draws]
+        bounds = np.array([float(row.split(",")[8]) for row in size_rows])
         mean, ci = _mean_ci(bounds)
         per_size[str(n)] = {
             "draws": int(bounds.size),

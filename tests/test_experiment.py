@@ -162,6 +162,34 @@ class TestVerifyRun:
         ]
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edit", ["blank", "blank-for-row", "repeat", "outside"])
+    def test_resume_rescores_from_the_first_row_out_of_place(
+        self, tmp_path, tiny_cdf, workers, edit
+    ):
+        # The last row cut and, after row (32, 1), a blank line, a blank line
+        # in place of row (32, 2), a copy of row (32, 0) or a row of draw 7 in
+        # this 3-draw config: a blank line or a copy inserted used to stay in
+        # the resumed file.  The kept rows end there, and the rest are scored
+        # again to the fresh run's bytes.
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_verify(tiny_config(fresh, draws=3), cdf=tiny_cdf)
+        lines = (fresh / "results_beta2.csv").read_bytes().splitlines(keepends=True)
+        fields = lines[1].decode().split(",")[:-1]
+        fields[2] = "7"
+        payload = ",".join(fields)
+        outside = f"{payload},{experiment._checksum(payload)}\n".encode()
+        inserted = {"repeat": lines[1], "outside": outside}.get(edit, b"\n")
+        after = lines[4:-1] if edit == "blank-for-row" else lines[3:-1]
+        out.mkdir()
+        (out / "manifest.json").write_bytes((fresh / "manifest.json").read_bytes())
+        (out / "results_beta2.csv").write_bytes(b"".join(lines[:3] + [inserted] + after))
+        run_verify(tiny_config(out, draws=3, workers=workers), cdf=tiny_cdf)
+        for name in ("results_beta2.csv", "summary.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "resumed: 2 rows already present" in manifest["warnings"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_run_keeps_rows_and_resumes(self, tmp_path, tiny_cdf, monkeypatch, workers):
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched sampler reaches pool workers only through fork")
@@ -260,6 +288,22 @@ class TestVerifyRun:
         assert err.startswith("error: ") and "bound,ks,crc" in err and err.count("\n") == 1
         assert path.read_bytes() == rows
         assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_undecodable_row_is_a_corrupt_row(self, tmp_path, capsys):
+        # A byte that is not UTF-8 used to fail as the codec's "can't decode
+        # byte 0xff in position 72", naming neither the file nor the row.
+        args = ["verify", "--sizes", "16", "--draws", "2", "--out", str(tmp_path)]
+        assert main(args) == 0
+        path = tmp_path / "results_beta2.csv"
+        rows = bytearray(path.read_bytes())
+        rows[len(experiment.RESULT_HEADER) + 2] = 0xFF
+        path.write_bytes(rows)
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt result row in {path}: ") and err.count("\n") == 1
+        assert path.read_bytes() == rows
+        assert json.loads((tmp_path / "manifest.json").read_text())["partial"] is True
 
     def test_pool_scores_pilot_rows(self, tmp_path, tiny_cdf, monkeypatch):
         # All three draws are pilot spectra; each row is scored in a worker,
@@ -819,6 +863,24 @@ class TestCli:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: SPACINGLAB_{name} is empty\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--sizes", "16", "--draws", "2"],
+         ["identity", "--sizes", "16", "--draws", "1"],
+         ["sample", "--sizes", "8", "--draws", "1"],
+         ["universal", "--beta", "2", "--nodes", "10"]],
+    )
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        # verify --out "" used to write its run into the current directory
+        # and exit 0; universal --out "" fell through to SPACINGLAB_OUT.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPACINGLAB_OUT", str(tmp_path / "env"))
+        assert main([*argv, "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "empty" in captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_flag_beats_env_beats_file(self, tmp_path, monkeypatch):
