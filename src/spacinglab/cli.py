@@ -182,7 +182,7 @@ def _cmd_gap(args, parser) -> int:
     if args.method == "painleve":
         value = gap_probability(integrate_sigma(), args.beta, args.s)
     elif args.method == "fredholm":
-        value = fredholm_g2(args.s, n=60)
+        value = fredholm_g2(args.s)
     else:
         value = series_gap(args.beta, args.s)
     print(format(value, ".10g"))

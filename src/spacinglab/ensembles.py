@@ -5,9 +5,10 @@ Two routes to the joint eigenvalue law with Vandermonde repulsion |Delta|^beta:
 * a tridiagonal model (Gaussian potential only): Gaussian diagonal,
   chi-distributed off-diagonal with decreasing degrees of freedom, whose
   eigenvalue density is the beta-ensemble law at any beta > 0, solved by a
-  symmetric tridiagonal eigensolver (LAPACK dsterf) in O(n^2); that solver is
-  the package's one use of scipy.  The first draw of a process loads it from
-  scipy's compiled LAPACK module by file path (~4 ms), which skips the
+  symmetric tridiagonal eigensolver (LAPACK dsterf) in O(n^2).  ``_lapack``
+  hands out that routine and the banded solver of the sigma-BVP in ``gaps``
+  (dgbsv), the package's only uses of scipy.  Its first call in a process
+  loads scipy's compiled LAPACK module by file path (~4 ms), which skips the
   ~0.19 s and ~19 MB of peak RSS that importing ``scipy.linalg`` costs;
 * Metropolis-within-Gibbs on the log-gas density for general even polynomial
   confinement.
@@ -146,7 +147,7 @@ def sample_tridiagonal(spec: EnsembleSpec, state: SamplerState) -> np.ndarray:
     dof = spec.beta * np.arange(n - 1, 0, -1)
     off = np.sqrt(rng.chisquare(dof)) * scale
     # dsterf returns the eigenvalues in ascending order.
-    values, info = _dsterf()(diag, off)
+    values, info = _lapack("dsterf")(diag, off)
     if info:
         raise RuntimeError(f"LAPACK dsterf failed on the tridiagonal draw at n={n} (info={info})")
     return values
@@ -156,20 +157,20 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 @cache
-def _dsterf():
-    """LAPACK's dsterf from scipy's compiled module ``scipy.linalg._flapack``:
-    the function ``scipy.linalg.eigvalsh_tridiagonal(..., lapack_driver="sterf")``
-    calls.  A loaded module is reused; otherwise the module is loaded from its
-    file, which skips the ``scipy.linalg`` package and the ``numpy.f2py``,
+def _lapack(name: str):
+    """LAPACK routine ``name`` from scipy's compiled module
+    ``scipy.linalg._flapack``, the one ``scipy.linalg.lapack`` hands out.  A
+    loaded module is reused; otherwise the module is loaded from its file,
+    which skips the ``scipy.linalg`` package and the ``numpy.f2py``,
     ``numpy.testing`` and ``numpy.ma`` its import loads.  A scipy whose module
     is not found or not loadable that way costs the public import instead."""
     try:
         module = sys.modules.get(_FLAPACK) or _load_flapack()
     except ImportError:
-        from scipy.linalg.lapack import dsterf
+        from scipy.linalg import lapack
 
-        return dsterf
-    return module.dsterf
+        return getattr(lapack, name)
+    return getattr(module, name)
 
 
 def _load_flapack():

@@ -262,39 +262,41 @@ def _check_resume(out: Path, digest: str) -> dict:
     or rows of another layout.
 
     A row names only its (n, draw), and every result file in a directory
-    shares one manifest and one summary.  So a directory that holds any
-    ``results_beta*.csv`` belongs to the config digest of the manifest written
-    before its first row, and only that config may run there again.  Each
-    such file's complete first line must be ``RESULT_HEADER``; an unterminated
-    one (half a header) counts as missing.
+    shares one manifest and one summary.  So a directory with a
+    ``results_beta*.csv`` that holds a row after its header belongs to the
+    config digest of the manifest written before its first row, and only
+    that config may run there again; a header alone (a run that failed
+    before its first row) binds no config.  Each such file's complete first
+    line must be ``RESULT_HEADER``; an unterminated one (half a header)
+    counts as missing.
 
     Returns the psi per size that the accepted manifest recorded (empty when
     there is nothing to resume or it recorded none).
     """
-    results = sorted(out.glob("results_beta*.csv"))
-    if not results:
-        return {}
-    try:
-        previous = json.loads((out / "manifest.json").read_text())
-        digest_found = previous["config_digest"]
-    except (OSError, ValueError, KeyError, TypeError):
-        previous, digest_found = {}, None
-    if digest_found != digest:
-        raise RuntimeError(
-            f"{results[0]} was written under config digest {digest_found}, not {digest}; "
-            "one output directory holds one verify config: resume only with the "
-            "same config or use a fresh output directory"
-        )
-    for path in results:
+    written = []
+    for path in sorted(out.glob("results_beta*.csv")):
         with path.open("rb") as fh:
-            first = fh.readline()
+            first, row = fh.readline(), fh.read(1)
         if first.endswith(b"\n") and first != f"{RESULT_HEADER}\n".encode():
             raise RuntimeError(
                 f"{path} has the header {first.decode(errors='replace').rstrip()!r}, "
                 f"not {RESULT_HEADER!r}: resume only with the code that wrote it "
                 "or use a fresh output directory"
             )
-    recorded = previous.get("psi")
+        if row:
+            written.append(path)
+    try:
+        previous = json.loads((out / "manifest.json").read_text())
+        digest_found = previous["config_digest"]
+    except (OSError, ValueError, KeyError, TypeError):
+        previous, digest_found = {}, None
+    if digest_found != digest and written:
+        raise RuntimeError(
+            f"{written[0]} was written under config digest {digest_found}, not {digest}; "
+            "one output directory holds one verify config: resume only with the "
+            "same config or use a fresh output directory"
+        )
+    recorded = previous.get("psi") if digest_found == digest else None
     psi = {}
     # Each entry stands alone: one that does not parse costs only its size's pilot.
     for n, value in (recorded.items() if isinstance(recorded, dict) else ()):
@@ -395,9 +397,11 @@ def _score_task(config, score, job):
 def _task_map(config: ExperimentConfig):
     """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
     order: in-process for one worker, else through one process pool that
-    serves every stage of the run.  A worker loads the Gaussian draws'
-    eigensolver (LAPACK dsterf, ~4 ms) on its own first draw, so the parent,
-    which draws nothing, loads no scipy module."""
+    serves every stage of the run.  The parent draws nothing; that of
+    ``verify`` has loaded scipy's LAPACK module (``ensembles._lapack``, ~4 ms)
+    for the law's sigma-BVP before the pool forks, and the workers inherit
+    it.  A parent that builds no law loads no scipy module, and each worker
+    loads the Gaussian draws' eigensolver (dsterf) on its own first draw."""
     if config.workers == 1:
         yield lambda fn, tasks, chunksize=1: map(fn, tasks)
         return

@@ -26,7 +26,7 @@ off the connection no matter how small its local error; the trajectory is
 computed here as a two-point boundary value problem instead, collocating
 between the series seed at t0 and the algebraic expansion at the far end
 (Lobatto IIIA collocation on one graded mesh, solved by Newton steps
-whose block-bidiagonal systems cyclic reduction solves with batched QR).
+whose banded systems LAPACK's dgbsv solves).
 The same solution carries Int v and (1/2) Int sqrt(-v') as two more
 components, so G_1, G_2 and G_4 are read from it without a quadrature table;
 their collocation equations are Simpson's rule, summed once sigma is solved.
@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ensembles import _lapack
 from .kernels import corr_fn, pfaffian, skew_kernel_block
 
 __all__ = [
@@ -223,11 +224,11 @@ def _collocate(x, y, bc):
     3-stage Lobatto IIIA collocation, as in Kierzenka & Shampine (ACM TOMS
     27, 2001): the solution is the C1 cubic through the nodes whose slope
     matches the rhs at the nodes and interval midpoints.  Newton steps, one
-    ``_block_solve`` each, solve for sigma and sigma'; the integrals are
+    ``_band_solve`` each, solve for sigma and sigma'; the integrals are
     then Simpson sums from their seed values ``bc[1:3]``.  Each interval's
     rms residual of all four relative to 1 + |rhs| is estimated by Lobatto
-    quadrature.  Raises RuntimeError if Newton does not converge or an
-    interval's residual exceeds BVP_TOL.
+    quadrature.  Raises RuntimeError if a Newton system is singular, Newton
+    does not converge or an interval's residual exceeds BVP_TOL.
     """
     h = np.diff(x)
     # Newton stops 1.5 orders of magnitude below what the rms check flags.
@@ -241,10 +242,7 @@ def _collocate(x, y, bc):
             raise RuntimeError(
                 f"sigma-ODE collocation failed: no Newton convergence on {x.size} nodes"
             )
-        try:
-            y = y - _block_solve(*_jacobian_blocks(x, y, y_mid), res)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"sigma-ODE collocation failed: {exc}") from exc
+        y = y - _band_solve(*_jacobian_blocks(x, y, y_mid), res)
 
     simpson = np.c_[bc[1:3], h / 6 * (f[2:, :-1] + 4 * f_mid[2:] + f[2:, 1:])]
     y4 = np.vstack([y, np.cumsum(simpson, axis=1)])
@@ -293,50 +291,26 @@ def _jacobian_blocks(x, y, y_mid):
     return d_left, d_right
 
 
-def _block_solve(d_left, d_right, res):
+def _band_solve(d_left, d_right, res):
     """Solve the Newton system of the collocation for its step, shape
-    (2, nodes).
+    (2, nodes), by LAPACK's banded LU (dgbsv).
 
-    The rows of ``res`` are ordered as ``_collocation_residual`` orders
-    them: the seed condition pins sigma at the first node, interval i's two
-    rows read ``d_left[i]`` and ``d_right[i]``, and the far condition pins
-    sigma at the last node.  Cyclic reduction eliminates every other
-    interior node: the two intervals around it stack their blocks of that
-    node into 4x2, whose complete QR leaves two rows free of it, one
-    interval between its neighbours (S. J. Wright, SIAM J. Sci. Stat.
-    Comput. 13, 1992).  An odd interval count carries its last interval to
-    the next level.  The one interval left joins the end nodes, whose 4x4
-    system holds the boundary conditions; the eliminated nodes then follow
-    level by level, each from the two rows its QR kept.
+    The unknowns run node by node and the rows of ``res`` in
+    ``_collocation_residual``'s order: the seed condition pins sigma at the
+    first node, interval i's two rows read ``d_left[i]`` and ``d_right[i]``,
+    and the far condition pins sigma at the last node.  Entry (i, j) sits at
+    ``ab[4 + i - j, j]``: dgbsv's storage of two bands on each side of the
+    diagonal, with two more rows for the LU's fill-in.
     """
-    # Interval i as the 2x5 rows [d_left | residual | d_right]: the system's
-    # rows on its end nodes, the residual column between their two blocks.
-    rows = np.concatenate([d_left, res[1:-1].reshape(-1, 2, 1), d_right], axis=2)
-    nodes, levels = np.arange(d_left.shape[0] + 1), []
-    while rows.shape[0] > 1:
-        pairs = rows.shape[0] // 2
-        first, second = rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2]
-        q, r = np.linalg.qr(
-            np.concatenate([first[:, :, 3:], second[:, :, :2]], axis=1), mode="complete"
-        )
-        pair = np.zeros((pairs, 4, 5))
-        pair[:, :2, :3], pair[:, 2:, 2:] = first[:, :, :3], second[:, :, 2:]
-        pair = np.swapaxes(q, 1, 2) @ pair
-        levels.append((nodes[: 2 * pairs + 1], r[:, :2], pair[:, :2]))
-        rows = np.concatenate([pair[:, 2:], rows[2 * pairs :]])
-        nodes = np.concatenate([nodes[::2], nodes[-1:] if nodes.size % 2 == 0 else nodes[:0]])
-    ends = np.zeros((4, 4))
-    ends[[0, 3], [0, 2]] = 1.0
-    ends[1:3, :2], ends[1:3, 2:] = rows[0, :, :2], rows[0, :, 3:]
-    step = np.empty((d_left.shape[0] + 1, 2))
-    step[[0, -1]] = np.linalg.solve(ends, np.r_[res[:1], rows[0, :, 2], res[-1]]).reshape(2, 2)
-    for nodes, u, kept in reversed(levels):
-        # kept @ [y_left; -1; y_right] is -u y_mid.
-        around = np.concatenate(
-            [step[nodes[:-1:2]], np.full((u.shape[0], 1), -1.0), step[nodes[2::2]]], axis=1
-        )
-        step[nodes[1::2]] = -np.linalg.solve(u, kept @ around[:, :, None])[:, :, 0]
-    return step.T
+    ab = np.zeros((7, 2 * d_left.shape[0] + 2))
+    for a, b in np.ndindex(2, 2):
+        ab[5 + a - b, b:-2:2] = d_left[:, a, b]
+        ab[3 + a - b, 2 + b :: 2] = d_right[:, a, b]
+    ab[4, 0] = ab[5, -2] = 1.0
+    *_, step, info = _lapack("dgbsv")(2, 2, ab, res)
+    if info:
+        raise RuntimeError(f"sigma-ODE collocation failed: LAPACK dgbsv info={info}")
+    return step.reshape(-1, 2).T
 
 
 def _sigma_jac(t, y):
@@ -503,7 +477,7 @@ def gap_probability(traj: SigmaTrajectory, beta: int, s: float) -> float:
     return float(_gap_and_slope(traj, beta, s)[0])
 
 
-def fredholm_g2(s: float, n: int = 40) -> float:
+def fredholm_g2(s: float, n: int = 60) -> float:
     """beta=2 gap probability as a Nystrom Fredholm determinant.
 
     Gauss-Legendre nodes x_i and weights w_i on (0, s) discretize the

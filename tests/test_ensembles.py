@@ -82,7 +82,7 @@ class TestTridiagonal:
 
     def test_failed_eigensolve_raises(self, monkeypatch):
         # dsterf reports a failure through info, not by raising.
-        monkeypatch.setattr(ensembles, "_dsterf", lambda: lambda d, e: (d, 1))
+        monkeypatch.setattr(ensembles, "_lapack", lambda name: lambda d, e: (d, 1))
         with pytest.raises(RuntimeError, match=r"dsterf failed .* n=16 \(info=1\)"):
             sample_tridiagonal(EnsembleSpec(beta=2, n=16), SamplerState(seed=0))
 

@@ -442,6 +442,28 @@ class TestVerifyRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["partial"] is True
 
+    def test_failed_pilot_binds_no_config(self, tmp_path, capsys):
+        # The failed pilot leaves a result file with its header alone; a run
+        # with more draws used to be refused there under the config digest.
+        config = tmp_path / "p.json"
+        config.write_text(json.dumps({
+            "potential": [0.3, 0, -1.0, 0, 0.25], "sizes": [8], "draws": 1,
+            "node_count": 10, "s_max": 6.0,
+        }))
+        pilot, fresh = tmp_path / "pil", tmp_path / "fresh"
+        assert main(["verify", "--config", str(config), "--out", str(pilot)]) == 1
+        assert capsys.readouterr().err.startswith("error: density pilot at n=8 failed")
+        path = pilot / "results_beta2.csv"
+        assert path.read_text() == experiment.RESULT_HEADER + "\n"
+        # A psi recorded under another config's digest places no window here.
+        manifest = json.loads((pilot / "manifest.json").read_text())
+        (pilot / "manifest.json").write_text(json.dumps({**manifest, "psi": {"8": 9.0}}))
+        for out in (pilot, fresh):
+            argv = ["verify", "--config", str(config), "--draws", "32", "--out", str(out)]
+            assert main(argv) == 0
+        for name in ("results_beta2.csv", "summary.json"):
+            assert (pilot / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_single_draw_has_undefined_ci(self, tmp_path, tiny_cdf):
         cfg = tiny_config(tmp_path, draws=1)
         summary = run_verify(cfg, cdf=tiny_cdf)
@@ -598,12 +620,12 @@ class TestCli:
         assert pools == [] and not out.exists()
 
     def test_import_leaves_scipy_integrate_unloaded(self, tmp_path):
-        # Only the Gaussian draws' tridiagonal eigensolver uses scipy: importing
-        # the CLI, universal, gap by every route and a log-gas verify load no
-        # scipy module at all.  A Gaussian verify at two workers loads none in
-        # the parent, which draws nothing itself; one at one worker loads
-        # LAPACK's dsterf from scipy.linalg._flapack alone.  Neither loads
-        # scipy.linalg, scipy.special or the three subpackages above.
+        # scipy serves two LAPACK routines from scipy.linalg._flapack alone:
+        # importing the CLI loads no scipy module; the sigma-BVP of universal
+        # and gap --method painleve loads that module and nothing else of
+        # scipy, and the Gaussian draws of a verify at one or two workers
+        # reuse it.  None loads scipy.linalg, scipy.special or the three
+        # subpackages above.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(spacinglab.__file__).parents[1]), env.get("PYTHONPATH")])
@@ -644,13 +666,13 @@ class TestCli:
         lines = [line for line in out.splitlines() if line.startswith("loaded:")]
         assert lines == [
             "loaded: [] []",
-            "loaded: [] []",
-            "loaded: [] False False []",
+            "loaded: [] ['scipy.linalg._flapack']",
+            "loaded: [] False False ['scipy.linalg._flapack']",
             "loaded: [] False False ['scipy.linalg._flapack']",
         ]
 
     def test_failed_eigensolve_is_one_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ensembles, "_dsterf", lambda: lambda d, e: (d, 1))
+        monkeypatch.setattr(ensembles, "_lapack", lambda name: lambda d, e: (d, 1))
         argv = ["sample", "--sizes", "16", "--draws", "1", "--workers", "1",
                 "--out", str(tmp_path / "s")]
         assert main(argv) == 1
@@ -1073,19 +1095,19 @@ class TestProcessStartup:
             "import hashlib, sys, spacinglab\n"
             "from spacinglab import ensembles\n"
             "def digest():\n"
-            "    ensembles._dsterf.cache_clear()\n"
+            "    ensembles._lapack.cache_clear()\n"
             "    spec = spacinglab.EnsembleSpec(beta=4, n=400)\n"
             "    draws = [spacinglab.sample_tridiagonal(spec, spacinglab.SamplerState(9, k))"
             " for k in range(3)]\n"
             "    return hashlib.sha256(b''.join(d.tobytes() for d in draws)).hexdigest()\n"
             "print(digest(), 'scipy.linalg' in sys.modules)\n"
             "import scipy.linalg.lapack\n"
-            "print(digest(), ensembles._dsterf() is scipy.linalg.lapack.dsterf)\n"
+            "print(digest(), ensembles._lapack('dsterf') is scipy.linalg.lapack.dsterf)\n"
             "def refused():\n"
             "    raise ImportError('refused')\n"
             "ensembles._load_flapack = refused\n"
             "del sys.modules['scipy.linalg._flapack']\n"
-            "print(digest(), ensembles._dsterf() is scipy.linalg.lapack.dsterf)\n"
+            "print(digest(), ensembles._lapack('dsterf') is scipy.linalg.lapack.dsterf)\n"
         )
         by_file, linalg_loaded, reused, same, public, fallback = _fresh_python(code)
         assert (linalg_loaded, same, fallback) == ("False", "True", "True")

@@ -16,7 +16,7 @@ from spacinglab.gaps import (
     T_MAX_LIMIT,
     SigmaTrajectory,
     _asym,
-    _block_solve,
+    _band_solve,
     _collocation_residual,
     _jacobian_blocks,
     _seed,
@@ -387,8 +387,6 @@ class TestCollocation:
 
     @pytest.mark.parametrize("nodes", [49, 50])
     def test_block_solve_matches_dense_solve(self, nodes, rng):
-        # 48 intervals halve to 3 before an odd count carries one over; 49
-        # carry one over at the first level.
         x = np.concatenate([np.geomspace(SEED_T0, 4.0, 20), np.linspace(5.0, 50.0, nodes - 20)])
         y = np.vstack(integrate_sigma()._dense(x)[:2])
         seed = _seed(SEED_T0)
@@ -403,8 +401,18 @@ class TestCollocation:
             dense[1 + 2 * i : 3 + 2 * i, 2 * i + 2 : 2 * i + 4] = d_right[i]
         rhs = rng.standard_normal(2 * nodes)
         want = np.linalg.solve(dense, rhs).reshape(-1, 2).T
-        got = _block_solve(d_left, d_right, rhs)
+        got = _band_solve(d_left, d_right, rhs)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_singular_newton_system_raises(self, monkeypatch):
+        # dgbsv reports a singular system through info, not by raising.
+        integrate_sigma.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gaps, "_lapack", lambda name: lambda kl, ku, ab, b: (ab, 0, b, 3))
+            with pytest.raises(RuntimeError, match="collocation failed: LAPACK dgbsv info=3"):
+                integrate_sigma()
+        # The failure is not remembered: the next call solves.
+        assert isinstance(integrate_sigma(), SigmaTrajectory)
 
     @pytest.mark.parametrize(
         "cap", [("MESH_NODES", 1500, "residual"), ("NEWTON_STEPS", 2, "no Newton")]
