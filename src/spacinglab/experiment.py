@@ -24,7 +24,6 @@ import json
 import math
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
@@ -401,10 +400,14 @@ def _task_map(config: ExperimentConfig):
     ``verify`` has loaded scipy's LAPACK module (``ensembles._lapack``, ~4 ms)
     for the law's sigma-BVP before the pool forks, and the workers inherit
     it.  A parent that builds no law loads no scipy module, and each worker
-    loads the Gaussian draws' eigensolver (dsterf) on its own first draw."""
+    loads the Gaussian draws' eigensolver (dsterf) on its own first draw.
+    A one-worker run does not import the pool module (nor the ``logging``
+    and ``subprocess`` it pulls in)."""
     if config.workers == 1:
         yield lambda fn, tasks, chunksize=1: map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
 

@@ -184,48 +184,56 @@ def alternating_identity_check(ecdf: EmpiricalSpacingCDF, rs: RescaledSpectrum) 
     spectrum whose k-tuple spans are counted.  At every jump point of either
     side the spacing count must equal the alternating sum over k of the span
     counts, and for every cutoff m the partial alternating sum must bracket
-    the spacing count from the (-1)^m side.  Uses Python integers
-    throughout; any discrepancy is reported with its jump point, never
-    tolerated.
+    the spacing count from the (-1)^m side.  Any discrepancy is reported
+    with its jump point, never tolerated.
 
-    The span counts are kept up to date as pairs enter, in increasing span
-    order: a pair with g interior eigenvalues adds binom(g, k-2) to the
-    count of every order k <= g + 2.  Over the ~p^2/2 pairs of p inside
-    eigenvalues that is O(p^3) updates, and each of the ~p^2/2 jump points
-    then reads the p - 1 counts in O(p), so the whole check costs O(p^3).
+    A pair with g interior eigenvalues adds binom(g, k-2) to the order-k
+    span count, so it adds alt[g, m] = sum_{k<=m} (-1)^k binom(g, k-2) to
+    the partial alternating sum up to order m.  That table is built from
+    ``math.comb`` (never from a closed form, which would assume the identity
+    under check), summed over the span-sorted pairs and read at every jump
+    point: O(p^3) integer additions for p inside eigenvalues.  Every count
+    and partial sum is below 2^p in magnitude, so int64 holds them exactly
+    for p <= 62 and Python integers (object arrays) do beyond; no float
+    enters.
     """
     p = rs.inside.size
     spans, gaps = _pair_data(rs.inside)
     points = np.unique(np.concatenate([spans, ecdf.jumps]))
-    sigma_counts = np.searchsorted(ecdf.jumps, points, side="right")
-    spans, gaps = spans.tolist(), gaps.tolist()
+    sigma = np.searchsorted(ecdf.jumps, points, side="right")
 
+    orders = max(p - 1, 0)
+    dtype = np.int64 if p <= 62 else object
+    # Column c is the partial sum up to order m = c + 1, signed by (-1)^m so
+    # that a truncation holds where it is at least the signed spacing count;
+    # the last column is the full alternating sum.  Row g is a pair with g
+    # interior eigenvalues, and the zero row after them starts the sum.
+    signs = np.resize([-1, 1], orders + 1)
+    terms = [[0] + [(-1) ** j * math.comb(g, j) for j in range(orders)] for g in range(orders)]
+    alt = signs * np.cumsum(np.array(terms + [[0] * (orders + 1)], dtype=dtype), axis=1)
+    # Running row r sums the first r pairs, in blocks of about 2^18 entries
+    # so that a wide window's memory stays bounded.
+    entering = np.concatenate([[orders], gaps])
+    reads = np.searchsorted(spans, points, side="right")
+    block = max(1, 2**18 // (orders + 1))
+    carry = alt[orders]
     violations = []
-    # binom[g][j] = C(g, j); gamma_counts[k - 2] is the order-k span count of
-    # the pairs included so far.  All exact ints.
-    binom = [[math.comb(g, j) for j in range(g + 1)] for g in range(p - 1)]
-    gamma_counts = [0] * (p - 1)
-    idx = 0
-    for s, sigma_count in zip(points.tolist(), sigma_counts.tolist()):
-        while idx < len(spans) and spans[idx] <= s:
-            for j, c in enumerate(binom[gaps[idx]]):
-                gamma_counts[j] += c
-            idx += 1
-        # Orders k = 2, 4, ... carry sign +1, k = 3, 5, ... sign -1.
-        alternating = sum(gamma_counts[0::2]) - sum(gamma_counts[1::2])
-        if alternating != sigma_count:
-            violations.append(
-                (s, "identity", f"alternating={alternating} sigma={sigma_count}")
-            )
-        partial = 0
-        sign = 1  # (-1)**m, from m = 2
-        for m, count in enumerate(gamma_counts, start=2):
-            partial += sign * count
-            if sign * sigma_count > sign * partial:
-                violations.append(
-                    (s, f"truncation m={m}", f"partial={partial} sigma={sigma_count}")
-                )
-            sign = -sign
+    for lo in range(0, entering.size, block):
+        running = alt[entering[lo:lo + block]]
+        running[0] += carry
+        np.cumsum(running, axis=0, out=running)
+        carry = running[-1]
+        first, last = np.searchsorted(reads, [lo, lo + len(running)]).tolist()
+        partial = running[reads[first:last] - lo]
+        bound = sigma[first:last, None] * signs
+        failed = np.column_stack([partial[:, -1] != bound[:, -1], partial[:, 1:] < bound[:, 1:]])
+        for row, col in zip(*(i.tolist() for i in np.nonzero(failed))):
+            if col:
+                kind, name, c = f"truncation m={col + 1}", "partial", col
+            else:  # the identity reads the full sum, in the last column
+                kind, name, c = "identity", "alternating", orders
+            detail = f"{name}={int(signs[c]) * partial[row, c]} sigma={sigma[first + row]}"
+            violations.append((float(points[first + row]), kind, detail))
     return IdentityReport(
         ok=not violations, checked_points=points.size, violations=tuple(violations)
     )

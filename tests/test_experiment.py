@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gzip
 import json
@@ -612,7 +613,7 @@ class TestCli:
         # fork 100000 processes.  Nothing here may start one.
         pools = []
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
         out = tmp_path / "d"
         argv = ["verify", "--sizes", "16", "--draws", "1", "--workers", "3", "--out", str(out)]
         assert main(argv) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import gue_window
 from oracles import CENTER_DENSITY, gamma_cdf, variance_diagnostic
-from spacinglab import spacings
+from spacinglab import experiment, spacings
 from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_tridiagonal
 from spacinglab.spacings import (
     EmpiricalSpacingCDF,
@@ -155,10 +155,11 @@ class TestGammaCdf:
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
 
 
-def reference_identity_check(rs, comb=math.comb):
+def reference_identity_check(rs, comb=math.comb, spans_rs=None):
     """The O(p^4) check: every span count re-summed from per-interior-count
-    tallies at every jump point."""
-    x = rs.inside
+    tallies at every jump point.  The spacings are those of ``rs``, the spans
+    those of ``spans_rs`` (default: ``rs`` too)."""
+    x = (rs if spans_rs is None else spans_rs).inside
     p = x.size
     # Every endpoint pair i < j as (span, interior count), by increasing span;
     # the sort is stable, so equal spans keep their (i, j) order.
@@ -166,24 +167,18 @@ def reference_identity_check(rs, comb=math.comb):
         ((x[j] - x[i], j - i - 1) for i in range(p) for j in range(i + 1, p)),
         key=lambda pair: pair[0],
     )
-    if not pairs:
-        return IdentityReport(ok=True, checked_points=0, violations=())
-    spans, gaps = zip(*pairs)
+    spans, gaps = zip(*pairs) if pairs else ((), ())
+    spacings = np.diff(rs.inside).tolist()
 
     violations = []
     tally = [0] * p
-    sigma_count = 0
     idx = 0
-    points = 0
-    while idx < len(spans):
-        s = spans[idx]
+    points = sorted(set(spans) | set(spacings))
+    for s in points:
         while idx < len(spans) and spans[idx] <= s:
-            g = int(gaps[idx])
-            tally[g] += 1
-            if g == 0:
-                sigma_count += 1
+            tally[int(gaps[idx])] += 1
             idx += 1
-        points += 1
+        sigma_count = sum(d <= s for d in spacings)
         gamma_counts = [
             sum(tally[g] * comb(g, k - 2) for g in range(p)) for k in range(2, p + 1)
         ]
@@ -202,7 +197,7 @@ def reference_identity_check(rs, comb=math.comb):
                     (float(s), f"truncation m={m}", f"partial={partial} sigma={sigma_count}")
                 )
     return IdentityReport(
-        ok=not violations, checked_points=points, violations=tuple(violations)
+        ok=not violations, checked_points=len(points), violations=tuple(violations)
     )
 
 
@@ -244,6 +239,15 @@ class TestAlternatingIdentity:
         assert report.violations[0] == (
             pytest.approx(0.4), "identity", "alternating=0 sigma=1"
         )
+        # A span side with a pair closer than any spacing overshoots it: the
+        # odd truncations fail, each reported as the reference reports it.
+        spans = make_rs([0.0, 0.1, 1.0], size=3.0)
+        report = alternating_identity_check(sigma_cdf(rs), spans)
+        assert report.violations[:2] == (
+            (pytest.approx(0.1), "identity", "alternating=1 sigma=0"),
+            (pytest.approx(0.1), "truncation m=3", "partial=1 sigma=0"),
+        )
+        assert report == reference_identity_check(rs, spans_rs=spans)
         # A jump of the spacing side alone is a checked point too.
         ecdf = EmpiricalSpacingCDF(jumps=np.array([0.5]), window_size=3.0)
         report = alternating_identity_check(ecdf, make_rs([0.7]))
@@ -255,8 +259,13 @@ class TestAlternatingIdentity:
         assert alternating_identity_check(sigma_cdf(rs), rs).ok
 
     def test_matches_reference_on_random_windows(self, rng):
-        for p in range(31):
-            assert_same_report(make_rs(np.sort(rng.normal(size=p)), size=5.0))
+        # Past p = 62 the partial sums outgrow int64 (at p = 68 they reach
+        # C(67, 33) > 2^63), and at p = 90 the pairs are summed in two
+        # blocks; the points with few distinct spans keep the reference cheap
+        # there.
+        for p in [*range(31), 62, 63, 68, 70, 90]:
+            if p <= 30:
+                assert_same_report(make_rs(np.sort(rng.normal(size=p)), size=5.0))
             # Integer points: tied eigenvalues and tied spans.
             assert_same_report(make_rs(np.sort(rng.integers(0, 8, p)), size=5.0))
             # Equally spaced points: every span occurs many times exactly.
@@ -272,6 +281,14 @@ class TestAlternatingIdentity:
             rs = rescale_localize(values, window)
             assert rs.inside.size > 30
             assert_same_report(rs)
+            # The --corrupt negative control counts the spans on a copy whose
+            # first eigenvalue is displaced; every report it writes is pinned.
+            tampered = rs.inside.copy()
+            tampered[0] -= 0.5 * (tampered[1] - tampered[0]) + 0.1
+            want = reference_identity_check(rs, spans_rs=make_rs(tampered))
+            points, found = experiment._identity_points({n: window}, True, (n, stream), values)
+            assert not want.ok and points == want.checked_points
+            assert [(v["jump"], v["kind"], v["detail"]) for v in found] == list(want.violations)
 
     def test_wrong_binomial_is_detected(self, monkeypatch):
         # Running counts built from a wrong C(2, 1) must break the identity
