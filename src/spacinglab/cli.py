@@ -1,4 +1,6 @@
-"""Command line interface.
+"""Command line interface: it parses the arguments, calls one run of
+``experiment`` (or one gap route) and prints what it returns; every file is
+written by ``experiment``.
 
 Subcommands:
   universal  tabulate a universal spacing CDF and its quantile nodes to CSV
@@ -27,23 +29,13 @@ from pathlib import Path
 from . import __version__
 from .experiment import (
     ExperimentConfig,
-    _draw_spectrum,
-    _task_map,
-    config_hash,
     load_config,
     run_identity,
+    run_sample,
+    run_universal,
     run_verify,
-    write_json,
-    write_table,
 )
-from .gaps import (
-    T_MAX_LIMIT,
-    build_universal_cdf,
-    fredholm_g2,
-    gap_probability,
-    integrate_sigma,
-    series_gap,
-)
+from .gaps import T_MAX_LIMIT, fredholm_g2, gap_probability, integrate_sigma, series_gap
 
 ENV_PREFIX = "SPACINGLAB_"
 
@@ -135,24 +127,17 @@ def _cmd_universal(args) -> int:
     if args.out == "":
         raise ValueError("--out is empty")
     out = Path(args.out or _env("out", str) or ".")
-    cdf = build_universal_cdf(args.beta, s_max=args.s_max, m_nodes=args.nodes)
-    print(write_table(out / f"F_beta{cdf.beta}.csv", "s,F", zip(cdf.grid, cdf.cdf)))
-    print(write_table(out / f"nodes_beta{cdf.beta}.csv", "i,s", enumerate(cdf.nodes, 1)))
+    print(*run_universal(args.beta, args.s_max, args.nodes, out), sep="\n")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    config = _config_from_args(args)
-    summary = run_verify(config)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(run_verify(_config_from_args(args)), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_identity(args) -> int:
-    config = _config_from_args(args)
-    report = run_identity(config, corrupt=args.corrupt)
-    record = {**report, "config_digest": config_hash(config)}
-    write_json(Path(config.out_dir) / "identity.json", record)
+    report = run_identity(_config_from_args(args), corrupt=args.corrupt)
     for v in report["violations"]:
         print(
             f"violation: n={v['n']} draw={v['draw']} jump={v['jump']:.12g} "
@@ -190,19 +175,7 @@ def _cmd_gap(args, parser) -> int:
 
 
 def _cmd_sample(args) -> int:
-    config = _config_from_args(args)
-    out = Path(config.out_dir)
-    with _task_map(config) as task_map:
-        for n in config.sizes:
-            tasks = [(n, draw) for draw in range(config.draws)]
-            spectra = task_map(partial(_draw_spectrum, config), tasks)
-            rows = (
-                (draw, index, value)
-                for draw, (values, _) in enumerate(spectra)
-                for index, value in enumerate(values)
-            )
-            path = out / f"spectra_beta{config.beta}_n{n}.csv"
-            print(write_table(path, "draw_id,index,eigenvalue", rows))
+    print(*run_sample(_config_from_args(args)), sep="\n")
     return 0
 
 

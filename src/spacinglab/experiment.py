@@ -4,8 +4,9 @@ A run is fully determined by its configuration and seed: every (size, draw)
 task derives its own random stream id, tasks are embarrassingly parallel, and
 the single result writer appends each row in task order as it is scored, so
 reruns are byte identical regardless of worker count and a result file is
-always a prefix of a fresh run's.  Every (size, draw) spectrum is drawn once, by
-``_draw_spectrum``.  One plan, ``_plan``, places each size's window for
+always a prefix of a fresh run's.  Each ``run_*`` function runs one
+subcommand and writes its files.  Every (size, draw) spectrum is drawn once,
+by ``_draw_spectrum``.  One plan, ``_plan``, places each size's window for
 ``verify`` and ``identity``: its density psi is known (the semicircle value
 for the Gaussian convention, or the value a resumed run's manifest recorded)
 or else estimated from the size's pilot, its first min(32, draws) spectra,
@@ -62,6 +63,8 @@ __all__ = [
     "config_hash",
     "load_config",
     "run_identity",
+    "run_sample",
+    "run_universal",
     "run_verify",
     "stream_id",
     "write_json",
@@ -224,8 +227,8 @@ def _line(*values) -> str:
 def write_table(path, header: str, rows) -> Path:
     """Write ``header`` and each row, as many ``FIELD``s as the header has
     columns, to ``path`` in one ``%``, creating its directory; above
-    GZIP_ROWS rows the file is gzipped to ``path`` + ``.gz``.  Returns the
-    path written."""
+    GZIP_ROWS rows the file is gzipped to ``path`` + ``.gz``; the other form
+    is removed.  Returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     width = header.count(",") + 1
@@ -235,11 +238,13 @@ def write_table(path, header: str, rows) -> Path:
     if count > GZIP_ROWS:
         import gzip  # only here: importing it costs every process ~0.1 MB
 
+        path.unlink(missing_ok=True)
         path = path.with_suffix(path.suffix + ".gz")
         with gzip.open(path, "wt") as fh:
             fh.write(text)
     else:
         path.write_text(text)
+        path.with_suffix(path.suffix + ".gz").unlink(missing_ok=True)
     return path
 
 
@@ -328,6 +333,11 @@ def _psi(config: ExperimentConfig, n: int, pilot: list) -> float:
         ) from exc
 
 
+def _tasks(sizes, draws: int) -> list:
+    """The (n, draw) tasks of a run, in the order it draws, scores and writes them."""
+    return [(n, draw) for n in sizes for draw in range(draws)]
+
+
 def _draw_spectrum(config: ExperimentConfig, task):
     """``(values, state)``: the spectrum of task (n, draw) and the
     ``SamplerState`` that drew it, whose counts and warnings are its health.
@@ -344,24 +354,20 @@ def _draw_spectrum(config: ExperimentConfig, task):
     return last, state
 
 
-def _verify_row(config, windows, nodes, task, values) -> str:
-    """Score one spectrum: localize it to its size's window, compare its
-    spacing distribution with the universal law at the nodes, and format the
-    checksummed result row."""
-    n, draw = task
-    window = windows[n]
-    rs = rescale_localize(values, window)
+def _verify_row(config, nodes, task, rs) -> str:
+    """Score one localized spectrum: compare its spacing distribution with
+    the universal law at the nodes, and format the checksummed result row."""
     ecdf = sigma_cdf(rs)
     report = ks_node_distance(ecdf, nodes)
     payload = _line(
-        config.beta, n, draw, window.a, window.delta, window.size,
+        config.beta, *task, rs.window.a, rs.window.delta, rs.window.size,
         ecdf.total_mass, report.node_max, report.bound,
     )
     return f"{payload},{_checksum(payload)}"
 
 
-def _identity_points(windows, corrupt, task, values):
-    """Exact identity check of one spectrum: ``(checked points, violations)``.
+def _identity_points(corrupt, task, rs):
+    """Exact identity check of one localized spectrum: ``(points, violations)``.
 
     The spacing side is the ``sigma_cdf`` count that ``verify`` scores.  With
     ``corrupt`` the span side is counted on a copy whose first eigenvalue is
@@ -370,7 +376,6 @@ def _identity_points(windows, corrupt, task, values):
     eigenvalues has nothing to displace.
     """
     n, draw = task
-    rs = rescale_localize(values, windows[n])
     spans = rs
     if corrupt and rs.inside.size >= 2:
         tampered = rs.inside.copy()
@@ -383,33 +388,39 @@ def _identity_points(windows, corrupt, task, values):
     ]
 
 
-def _score_task(config, score, job):
+def _score_task(config, windows, score, job):
     """The one place a row is scored: ``job`` is ``(task, drawn)``, where
     ``drawn`` is the pilot's ``(values, state)`` of the task, or None to draw
-    it here.  Returns ``(task, score(task, values), state)``."""
+    it here.  Returns ``(task, score(task, rs), state)``, ``rs`` the spectrum
+    localized to its size's window."""
     task, drawn = job
     values, state = drawn or _draw_spectrum(config, task)
-    return task, score(task, values), state
+    return task, score(task, rescale_localize(values, windows[task[0]])), state
 
 
 @contextmanager
 def _task_map(config: ExperimentConfig):
-    """Lazy ``map(fn, tasks, chunksize=...)`` whose results come in task
-    order: in-process for one worker, else through one process pool that
-    serves every stage of the run.  The parent draws nothing; that of
-    ``verify`` has loaded scipy's LAPACK module (``ensembles._lapack``, ~4 ms)
-    for the law's sigma-BVP before the pool forks, and the workers inherit
-    it.  A parent that builds no law loads no scipy module, and each worker
-    loads the Gaussian draws' eigensolver (dsterf) on its own first draw.
-    A one-worker run does not import the pool module (nor the ``logging``
-    and ``subprocess`` it pulls in)."""
+    """Lazy ``map(fn, tasks)`` over a list of tasks whose results come in
+    task order: in-process for one worker, else through one process pool
+    that serves every stage of the run.  The pool takes chunks of
+    ceil(tasks / (4 * workers)) tasks, at most 8: 240 tasks on 2 workers go
+    8 at a time, the 4 chains of a two-size MCMC pilot one at a time, so
+    that no worker draws both long chains.  The parent draws nothing; that
+    of ``verify`` has loaded scipy's LAPACK module (``ensembles._lapack``,
+    ~4 ms) for the law's sigma-BVP before the pool forks, and the workers
+    inherit it.  A parent that builds no law loads no scipy module, and each
+    worker loads the Gaussian draws' eigensolver (dsterf) on its own first
+    draw.  A one-worker run does not import the pool module (nor the
+    ``logging`` and ``subprocess`` it pulls in)."""
     if config.workers == 1:
-        yield lambda fn, tasks, chunksize=1: map(fn, tasks)
+        yield map
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        yield lambda fn, tasks, chunksize=1: pool.map(fn, tasks, chunksize=chunksize)
+        yield lambda fn, tasks: pool.map(
+            fn, tasks, chunksize=max(1, min(8, math.ceil(len(tasks) / (4 * config.workers))))
+        )
 
 
 @contextmanager
@@ -424,16 +435,15 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     manifest also when an estimate aborts.
 
     Yields ``(windows, scored)``: ``scored(score, tasks)`` gives
-    ``(task, score(task, values), state)`` lazily and in task order.  Every
+    ``(task, score(task, rs), state)`` lazily and in task order.  Every
     row is scored by ``_score_task`` in the task map; a pilot spectrum
     travels there with its task, the others are drawn there.
     """
     gaussian = isinstance(config.potential, str)
     known = {n: float(semicircle_density(config.window_a)) for n in config.sizes if gaussian}
     known.update(recorded_psi)
-    draws = range(min(PILOT_DRAWS, config.draws))
     with _task_map(config) as task_map:
-        tasks = [(n, draw) for n in config.sizes if n not in known for draw in draws]
+        tasks = _tasks([n for n in config.sizes if n not in known], min(PILOT_DRAWS, config.draws))
         pilots = dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))
         health.update((task, state) for task, (_, state) in pilots.items())
         windows = {}
@@ -443,10 +453,8 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
             windows[n] = default_window(n, psi, config.window_a, config.window_delta_exponent)
 
         def scored(score, tasks):
-            # Chunks of up to 8 tasks, but never fewer chunks than workers.
-            chunksize = max(1, min(8, math.ceil(len(tasks) / config.workers)))
-            jobs = ((task, pilots.get(task)) for task in tasks)
-            return task_map(partial(_score_task, config, score), jobs, chunksize=chunksize)
+            jobs = [(task, pilots.get(task)) for task in tasks]
+            return task_map(partial(_score_task, config, windows, score), jobs)
 
         yield windows, scored
 
@@ -503,12 +511,14 @@ def _record_health(manifest: RunManifest, health: dict) -> None:
         }
 
 
-def _mean_ci(values: np.ndarray):
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, None
-    half = 1.96 * float(values.std(ddof=1)) / np.sqrt(values.size)
-    return mean, [mean - half, mean + half]
+def _size_summary(bounds: np.ndarray, window) -> dict:
+    """One size's summary: its draws, their mean bound with a normal-approximation
+    95% interval (None for one draw), and its window's eigenvalue count."""
+    mean, ci = float(bounds.mean()), None
+    if bounds.size > 1:
+        half = 1.96 * float(bounds.std(ddof=1)) / np.sqrt(bounds.size)
+        ci = [mean - half, mean + half]
+    return {"draws": int(bounds.size), "mean_bound": mean, "ci95": ci, "window_size": window.size}
 
 
 def run_verify(
@@ -540,59 +550,42 @@ def run_verify(
     )
     recorded_psi = _check_resume(out, manifest.config_digest)
     manifest.write(out)
-    try:
-        summary = _run_verify_inner(config, cdf, out, manifest, recorded_psi)
-    except Exception as exc:
-        manifest.partial = True
-        manifest.warnings.append(f"aborted: {exc}")
-        manifest.finished_at = _now()
-        manifest.write(out)
-        raise
-    manifest.finished_at = _now()
-    manifest.write(out)
-    return summary
-
-
-def _run_verify_inner(config, cdf, out: Path, manifest: RunManifest, recorded_psi) -> dict:
-    tasks = [(n, d) for n in config.sizes for d in range(config.draws)]
-    health = {}
+    tasks = _tasks(config.sizes, config.draws)
+    health, failure = {}, None
     try:
         with _open_results(out / f"results_beta{config.beta}.csv", tasks) as (fh, rows):
             if rows:
                 manifest.warnings.append(f"resumed: {len(rows)} rows already present")
             with _plan(config, recorded_psi, health) as (windows, scored):
                 manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
-                score = partial(_verify_row, config, windows, cdf.nodes)
+                score = partial(_verify_row, config, cdf.nodes)
                 for task, row, state in scored(score, tasks[len(rows):]):
                     fh.write(row + "\n")
                     fh.flush()
                     rows.append(row)
                     health[task] = state
-    finally:
-        _record_health(manifest, health)
-
-    per_size = {}
-    for i, n in enumerate(config.sizes):
-        size_rows = rows[i * config.draws : (i + 1) * config.draws]
-        bounds = np.array([float(row.split(",")[8]) for row in size_rows])
-        mean, ci = _mean_ci(bounds)
-        per_size[str(n)] = {
-            "draws": int(bounds.size),
-            "mean_bound": mean,
-            "ci95": ci,
-            "window_size": windows[n].size,
+        bounds = np.array([float(row.split(",")[8]) for row in rows]).reshape(-1, config.draws)
+        per_size = {str(n): _size_summary(b, windows[n]) for n, b in zip(config.sizes, bounds)}
+        means = [per_size[str(n)]["mean_bound"] for n in sorted(config.sizes)]
+        summary = {
+            "config_digest": manifest.config_digest,
+            "beta": config.beta,
+            "sizes": list(config.sizes),
+            "per_size": per_size,
+            "mean_bounds_strictly_decreasing": all(b < a for a, b in zip(means, means[1:])),
         }
-    means = [per_size[str(n)]["mean_bound"] for n in sorted(config.sizes)]
-    summary = {
-        "config_digest": config_hash(config),
-        "beta": config.beta,
-        "sizes": list(config.sizes),
-        "per_size": per_size,
-        "mean_bounds_strictly_decreasing": bool(
-            all(b < a for a, b in zip(means, means[1:]))
-        ),
-    }
-    write_json(out / "summary.json", summary)
+        write_json(out / "summary.json", summary)
+    except Exception as exc:
+        failure = exc
+    # An interrupt, not an Exception, leaves the manifest as the run began it.
+    _record_health(manifest, health)
+    if failure is not None:
+        manifest.partial = True
+        manifest.warnings.append(f"aborted: {failure}")
+    manifest.finished_at = _now()
+    manifest.write(out)
+    if failure is not None:
+        raise failure
     return summary
 
 
@@ -600,18 +593,51 @@ def run_identity(config: ExperimentConfig, corrupt: bool = False) -> dict:
     """Exact combinatorial identity checks over all configured draws.
 
     The spectra and windows are those ``verify`` scores, from the same
-    ``_plan``.  ``corrupt=True`` is the negative control of the detector
-    (see ``_identity_points``); it raises when no window could be
-    corrupted, since a control that found nothing shows nothing.
+    ``_plan``.  Writes the report with the config digest to ``identity.json``
+    and returns it.  ``corrupt=True`` is the negative control of the detector
+    (see ``_identity_points``); it raises, writing nothing, when no window
+    could be corrupted, since a control that found nothing shows nothing.
     """
     checked, violations = 0, []
-    tasks = [(n, draw) for n in config.sizes for draw in range(config.draws)]
-    with _plan(config, {}, {}) as (windows, scored):
-        for _, (points, found), _ in scored(partial(_identity_points, windows, corrupt), tasks):
+    with _plan(config, {}, {}) as (_, scored):
+        score = partial(_identity_points, corrupt)
+        for _, (points, found), _ in scored(score, _tasks(config.sizes, config.draws)):
             checked += points
             violations += found
     if corrupt and not violations:
         raise RuntimeError(
             "nothing could be corrupted: no window holds two eigenvalues to displace"
         )
-    return {"checked_jump_points": checked, "violations": violations, "ok": not violations}
+    report = {"checked_jump_points": checked, "violations": violations, "ok": not violations}
+    record = {**report, "config_digest": config_hash(config)}
+    write_json(Path(config.out_dir) / "identity.json", record)
+    return report
+
+
+def run_sample(config: ExperimentConfig) -> list:
+    """Dump every configured spectrum, as ``verify`` draws it, to one
+    ``spectra_beta{beta}_n{n}.csv`` per size in the output directory.
+    Returns the paths written, in size order."""
+    paths = []
+    with _task_map(config) as task_map:
+        for n in config.sizes:
+            spectra = task_map(partial(_draw_spectrum, config), _tasks((n,), config.draws))
+            rows = (
+                (draw, index, value)
+                for draw, (values, _) in enumerate(spectra)
+                for index, value in enumerate(values)
+            )
+            path = Path(config.out_dir) / f"spectra_beta{config.beta}_n{n}.csv"
+            paths.append(write_table(path, "draw_id,index,eigenvalue", rows))
+    return paths
+
+
+def run_universal(beta: int, s_max: float, nodes: int, out) -> list:
+    """Tabulate F_beta on its grid up to ``s_max`` to ``F_beta{beta}.csv``
+    and its ``nodes`` quantile nodes to ``nodes_beta{beta}.csv`` in ``out``.
+    Returns the two paths written."""
+    cdf = build_universal_cdf(beta, s_max=s_max, m_nodes=nodes)
+    return [
+        write_table(Path(out) / f"F_beta{cdf.beta}.csv", "s,F", zip(cdf.grid, cdf.cdf)),
+        write_table(Path(out) / f"nodes_beta{cdf.beta}.csv", "i,s", enumerate(cdf.nodes, 1)),
+    ]

@@ -23,6 +23,7 @@ from spacinglab.experiment import (
     config_hash,
     load_config,
     run_identity,
+    run_sample,
     run_verify,
     stream_id,
     write_table,
@@ -548,6 +549,57 @@ class TestIdentityRun:
         assert report == pooled
 
 
+# A small Gaussian config and the 16x^4 log gas that CI runs at 1 and 2 workers.
+RUN_CONFIGS = {
+    "gaussian": dict(beta=2, sizes=(16, 50), draws=3),
+    "quartic": dict(beta=1, potential=QUARTIC, sizes=(16, 32), draws=2),
+}
+
+
+class TestRuns:
+    @pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+    def test_sample_and_identity_files_repeat_at_two_workers(self, tmp_path, name):
+        files = {}
+        for workers in (1, 2):
+            config = ExperimentConfig(
+                **RUN_CONFIGS[name], out_dir=str(tmp_path / str(workers)), workers=workers
+            )
+            paths = run_sample(config)
+            assert [p.name for p in paths] == [
+                f"spectra_beta{config.beta}_n{n}.csv" for n in config.sizes
+            ]
+            report = run_identity(config)
+            record = json.loads((tmp_path / str(workers) / "identity.json").read_text())
+            assert record == {**report, "config_digest": config_hash(config)}
+            files[workers] = {p.name: p.read_bytes() for p in (tmp_path / str(workers)).iterdir()}
+        assert sorted(files[1]) == sorted([p.name for p in paths] + ["identity.json"])
+        assert files[2] == files[1]
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            # verify-gauss's 240 tasks, at small sizes: no pilot, chunks of 8.
+            (dict(beta=4, sizes=(16, 32, 64), draws=80), [(0, 1), (240, 8)]),
+            # verify-quartic: in chunks of 2 one worker would draw both n = 32 chains.
+            (RUN_CONFIGS["quartic"], [(4, 1), (4, 1)]),
+        ],
+        ids=["gaussian", "quartic"],
+    )
+    def test_pool_chunks(self, tmp_path, monkeypatch, config, expected):
+        chunks = []
+        real = concurrent.futures.ProcessPoolExecutor.map
+
+        def recorded(self, fn, tasks, **kwargs):
+            chunks.append((len(tasks), kwargs["chunksize"]))
+            return real(self, fn, tasks, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recorded)
+        config = tiny_config(tmp_path, workers=2, **config)
+        cdf = build_universal_cdf(config.beta, s_max=config.s_max, m_nodes=config.node_count)
+        run_verify(config, cdf=cdf)
+        assert chunks == expected
+
+
 class TestCli:
     def test_universal_writes_files(self, tmp_path, capsys):
         rc = main(
@@ -962,7 +1014,9 @@ class TestCli:
         def too_big(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(spacinglab.cli, name, too_big)
+        # Each stand-in replaces the name where the subcommand looks it up.
+        module = experiment if name == "build_universal_cdf" else spacinglab.cli
+        monkeypatch.setattr(module, name, too_big)
         assert main([*argv, "--out", str(tmp_path / "d")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1036,6 +1090,17 @@ def test_write_table_gzips_above_threshold(tmp_path, monkeypatch):
     assert not (tmp_path / "above.csv").exists()
     with gzip.open(above, "rt") as fh:
         assert fh.read() == text + "4,1e-20\n"
+
+
+def test_sample_leaves_one_form_of_each_table(tmp_path, monkeypatch):
+    # 2 x 16 rows go plain, 3 x 16 gzipped: a rerun into the same directory
+    # used to leave the other form beside the fresh one, in either order.
+    monkeypatch.setattr(experiment, "GZIP_ROWS", 40)
+    for draws, name in ((2, "spectra_beta2_n16.csv"), (3, "spectra_beta2_n16.csv.gz"),
+                        (2, "spectra_beta2_n16.csv")):
+        config = tiny_config(tmp_path, sizes=(16,), draws=draws)
+        assert run_sample(config) == [tmp_path / name]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def _fresh_python(code: str, **env) -> list:

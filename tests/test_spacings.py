@@ -286,7 +286,7 @@ class TestAlternatingIdentity:
             tampered = rs.inside.copy()
             tampered[0] -= 0.5 * (tampered[1] - tampered[0]) + 0.1
             want = reference_identity_check(rs, spans_rs=make_rs(tampered))
-            points, found = experiment._identity_points({n: window}, True, (n, stream), values)
+            points, found = experiment._identity_points(True, (n, stream), rs)
             assert not want.ok and points == want.checked_points
             assert [(v["jump"], v["kind"], v["detail"]) for v in found] == list(want.violations)
 
