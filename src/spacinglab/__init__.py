@@ -4,6 +4,9 @@ Samplers for the orthogonal/unitary/symplectic symmetry classes, the
 universal nearest-neighbour spacing laws computed from the limiting kernels
 (Painleve, Fredholm and series routes), and the localized empirical spacing
 machinery needed to verify their agreement at finite matrix size.
+
+The modules are the API (``ensembles``, ``kernels``, ``gaps``, ``spacings``,
+``experiment``, ``cli``); importing the package only sets the BLAS default.
 """
 
 import os
@@ -15,73 +18,3 @@ __version__ = "0.1.0"
 # 60x60 Fredholm matrix, too small for a thread pool to pay for the threads
 # numpy's and scipy's OpenBLAS each start.  A value the user exported wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .ensembles import (
-    EnsembleSpec,
-    SamplerState,
-    sample_mcmc,
-    sample_tridiagonal,
-    semicircle_density,
-)
-from .gaps import (
-    GapCurve,
-    SigmaTrajectory,
-    UniversalSpacingCDF,
-    build_universal_cdf,
-    fredholm_g2,
-    gap_curves,
-    gap_probability,
-    integrate_sigma,
-    series_gap,
-    universal_cdf,
-)
-from .kernels import (
-    MatrixKernelValue,
-    corr_fn,
-    matrix_kernel,
-    pfaffian,
-)
-from .spacings import (
-    EmpiricalSpacingCDF,
-    KSReport,
-    RescaledSpectrum,
-    Window,
-    alternating_identity_check,
-    default_window,
-    estimate_density,
-    ks_node_distance,
-    rescale_localize,
-    sigma_cdf,
-)
-
-__all__ = [
-    "EmpiricalSpacingCDF",
-    "EnsembleSpec",
-    "GapCurve",
-    "KSReport",
-    "MatrixKernelValue",
-    "RescaledSpectrum",
-    "SamplerState",
-    "SigmaTrajectory",
-    "UniversalSpacingCDF",
-    "Window",
-    "alternating_identity_check",
-    "build_universal_cdf",
-    "corr_fn",
-    "default_window",
-    "estimate_density",
-    "fredholm_g2",
-    "gap_curves",
-    "gap_probability",
-    "integrate_sigma",
-    "ks_node_distance",
-    "matrix_kernel",
-    "pfaffian",
-    "rescale_localize",
-    "sample_mcmc",
-    "sample_tridiagonal",
-    "semicircle_density",
-    "series_gap",
-    "sigma_cdf",
-    "universal_cdf",
-]

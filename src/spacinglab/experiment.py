@@ -558,6 +558,8 @@ def run_verify(
                 manifest.warnings.append(f"resumed: {len(rows)} rows already present")
             with _plan(config, recorded_psi, health) as (windows, scored):
                 manifest.psi = {str(n): window.psi_a for n, window in windows.items()}
+                # On disk before the first row: a killed run's resume draws no pilot.
+                manifest.write(out)
                 score = partial(_verify_row, config, cdf.nodes)
                 for task, row, state in scored(score, tasks[len(rows):]):
                     fh.write(row + "\n")
@@ -577,7 +579,7 @@ def run_verify(
         write_json(out / "summary.json", summary)
     except Exception as exc:
         failure = exc
-    # An interrupt, not an Exception, leaves the manifest as the run began it.
+    # An interrupt, not an Exception, leaves the manifest as written before the first row.
     _record_health(manifest, health)
     if failure is not None:
         manifest.partial = True

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import CENTER_DENSITY
-from spacinglab import (
-    EnsembleSpec,
-    SamplerState,
-    default_window,
-    gap_curves,
-    integrate_sigma,
-    rescale_localize,
-    sample_tridiagonal,
-    universal_cdf,
-)
+from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_tridiagonal
+from spacinglab.gaps import gap_curves, integrate_sigma, universal_cdf
+from spacinglab.spacings import default_window, rescale_localize
 
 
 @pytest.fixture(scope="session")

@@ -14,26 +14,24 @@ from scipy import stats
 
 from conftest import gue_window
 from oracles import CENTER_DENSITY, corr_fn_expansion, tail_fit, variance_diagnostic
-from spacinglab import (
-    EnsembleSpec,
-    SamplerState,
-    Window,
-    corr_fn,
-    default_window,
+from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_mcmc, sample_tridiagonal
+from spacinglab.experiment import stream_id
+from spacinglab.gaps import (
+    SEED_T0,
     fredholm_g2,
     gap_probability,
     integrate_sigma,
-    ks_node_distance,
-    pfaffian,
-    rescale_localize,
-    sample_mcmc,
-    sample_tridiagonal,
     series_gap,
-    sigma_cdf,
     universal_cdf,
 )
-from spacinglab.experiment import stream_id
-from spacinglab.gaps import SEED_T0
+from spacinglab.kernels import corr_fn, pfaffian
+from spacinglab.spacings import (
+    Window,
+    default_window,
+    ks_node_distance,
+    rescale_localize,
+    sigma_cdf,
+)
 
 PI = np.pi
 SEED = 0
@@ -166,7 +164,7 @@ def test_c06_cdf_sanity(cdfs):
 def test_c07_exact_combinatorics():
     budget = 120.0
     t0 = time.perf_counter()
-    from spacinglab import alternating_identity_check
+    from spacinglab.spacings import alternating_identity_check
 
     violations = 0
     checked = 0

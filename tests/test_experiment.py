@@ -384,6 +384,42 @@ class TestVerifyRun:
         assert path.read_bytes() == rows
         assert (tmp_path / "summary.json").read_bytes() == summary
 
+    def test_interrupted_run_resumes_with_its_psi(self, tmp_path, monkeypatch):
+        # The 16x^4 config of CI, interrupted after two rows: psi is on disk
+        # before the first row, so the resume draws only the missing rows.
+        cdf = build_universal_cdf(1, s_max=10.0, m_nodes=50)
+        ci = dict(beta=1, potential=QUARTIC, sizes=(16, 32), draws=2)
+        fresh, out = tmp_path / "fresh", tmp_path / "cut"
+        run_verify(ExperimentConfig(out_dir=str(fresh), **ci), cdf=cdf)
+        real_row, rows = experiment._verify_row, []
+
+        def interrupted(*args):
+            if len(rows) == 2:
+                raise KeyboardInterrupt
+            rows.append(real_row(*args))
+            return rows[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_verify_row", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_verify(ExperimentConfig(out_dir=str(out), **ci), cdf=cdf)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["psi"] == json.loads((fresh / "manifest.json").read_text())["psi"]
+        assert manifest["finished_at"] == ""
+        assert (out / "results_beta1.csv").read_text().splitlines()[1:] == rows
+        streams = Counter()
+        real = experiment.sample_mcmc
+
+        def counted(spec, state, steps, burn_in, thin=1):
+            streams[state.stream] += 1
+            return real(spec, state, steps, burn_in, thin)
+
+        monkeypatch.setattr(experiment, "sample_mcmc", counted)
+        run_verify(ExperimentConfig(out_dir=str(out), **ci), cdf=cdf)
+        assert streams == Counter([stream_id(32, 0), stream_id(32, 1)])
+        for name in ("results_beta1.csv", "summary.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
     @pytest.mark.parametrize("psi_32", [None, "nan", "abc", pytest.param("32.0", id="key-32.0")])
     def test_resume_estimates_the_psi_its_manifest_lacks(self, tmp_path, monkeypatch, psi_32):
         # The 16x^4 config of CI, its last row dropped and size 32's psi
@@ -1124,15 +1160,16 @@ def _fresh_python(code: str, **env) -> list:
 
 # One Gaussian draw loads LAPACK's dsterf from scipy.linalg._flapack, and with
 # it scipy's own OpenBLAS (a library mapped by the draw, where /proc exists),
-# but not the scipy.linalg or scipy.special packages.
+# but not the scipy.linalg or scipy.special packages.  The sampler's import
+# loads numpy, and numpy's OpenBLAS, before the maps are first read.
 GAUSSIAN_DRAW = (
-    "import os, sys, spacinglab\n"
+    "import os, sys\n"
+    "from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_tridiagonal\n"
     "def openblas():\n"
     "    return {line.split()[-1] for line in open('/proc/self/maps') if 'openblas' in line}\n"
     "proc = os.path.exists('/proc/self/maps')\n"
     "before = openblas() if proc else set()\n"
-    "spacinglab.sample_tridiagonal(spacinglab.EnsembleSpec(beta=2, n=16),"
-    " spacinglab.SamplerState(seed=0))\n"
+    "sample_tridiagonal(EnsembleSpec(beta=2, n=16), SamplerState(seed=0))\n"
     "assert 'scipy.linalg._flapack' in sys.modules\n"
     "assert 'scipy.linalg' not in sys.modules and 'scipy.special' not in sys.modules\n"
     "assert not proc or openblas() - before, 'the draw mapped no OpenBLAS'\n"
@@ -1153,17 +1190,28 @@ class TestProcessStartup:
     def test_exported_blas_threads_win(self):
         assert _fresh_python(GAUSSIAN_DRAW, OPENBLAS_NUM_THREADS="2") == ["2"]
 
+    def test_bare_import_sets_only_the_blas_default(self):
+        # The modules are the API: the package loads none of them, nor numpy,
+        # and sets the BLAS default that must come before numpy loads.
+        code = (
+            "import os, sys, spacinglab\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('spacinglab.')),"
+            " 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == ["False", "1"]
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS="3") == ["False", "3"]
+
     def test_file_load_gives_the_bits_of_scipy_linalg(self):
         # The first draw loads dsterf from its file, without scipy.linalg; an
         # import of scipy.linalg afterwards reuses that module; with the file
         # load refused, the public scipy.linalg.lapack.dsterf is called.
         code = (
-            "import hashlib, sys, spacinglab\n"
+            "import hashlib, sys\n"
             "from spacinglab import ensembles\n"
             "def digest():\n"
             "    ensembles._lapack.cache_clear()\n"
-            "    spec = spacinglab.EnsembleSpec(beta=4, n=400)\n"
-            "    draws = [spacinglab.sample_tridiagonal(spec, spacinglab.SamplerState(9, k))"
+            "    spec = ensembles.EnsembleSpec(beta=4, n=400)\n"
+            "    draws = [ensembles.sample_tridiagonal(spec, ensembles.SamplerState(9, k))"
             " for k in range(3)]\n"
             "    return hashlib.sha256(b''.join(d.tobytes() for d in draws)).hexdigest()\n"
             "print(digest(), 'scipy.linalg' in sys.modules)\n"
@@ -1198,7 +1246,7 @@ class TestProcessStartup:
         rng = np.random.default_rng(chains)
         proposed = rng.integers(900, 1100, chains)
         health = {
-            (8, draw): spacinglab.SamplerState(
+            (8, draw): ensembles.SamplerState(
                 seed=0, stream=draw, accepted=int(rng.integers(1, p)), proposed=int(p)
             )
             for draw, p in enumerate(proposed)
