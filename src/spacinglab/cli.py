@@ -35,7 +35,7 @@ from .experiment import (
     run_universal,
     run_verify,
 )
-from .gaps import T_MAX_LIMIT, fredholm_g2, gap_probability, integrate_sigma, series_gap
+from .gaps import T_MAX_LIMIT, T_PER_S, fredholm_g2, gap_probability, integrate_sigma, series_gap
 
 ENV_PREFIX = "SPACINGLAB_"
 
@@ -158,11 +158,11 @@ def _cmd_gap(args, parser) -> int:
         parser.error("the fredholm route exists for beta=2 only")
     if args.method == "series" and args.s > 1.0:
         parser.error("the series route requires s <= 1")
-    # G_beta(s) reads the trajectory at t = pi*s, or 2*pi*s for beta=4; past
-    # that reach 60 Fredholm nodes no longer resolve the sine kernel either.
-    span = 2.0 if args.beta == 4 else 1.0
-    if span * math.pi * args.s > T_MAX_LIMIT:
-        limit = f"{T_MAX_LIMIT / span:g}/pi = {T_MAX_LIMIT / (span * math.pi):.4f}"
+    # G_beta(s) reads the trajectory at t = T_PER_S[beta]*s; past that reach
+    # 60 Fredholm nodes no longer resolve the sine kernel either.
+    t_per_s = T_PER_S[args.beta]
+    if t_per_s * args.s > T_MAX_LIMIT:
+        limit = f"{T_MAX_LIMIT * math.pi / t_per_s:g}/pi = {T_MAX_LIMIT / t_per_s:.4f}"
         parser.error(f"--s must lie in (0, {limit}] for beta={args.beta}, got {args.s:g}")
     if args.method == "painleve":
         value = gap_probability(integrate_sigma(), args.beta, args.s)

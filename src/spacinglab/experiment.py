@@ -8,10 +8,10 @@ always a prefix of a fresh run's.  Each ``run_*`` function runs one
 subcommand and writes its files.  Every (size, draw) spectrum is drawn once,
 by ``_draw_spectrum``.  One plan, ``_plan``, places each size's window for
 ``verify`` and ``identity``: its density psi is known (the semicircle value
-for the Gaussian convention, or the value a resumed run's manifest recorded)
-or else estimated from the size's pilot, its first min(32, draws) spectra,
-which then travel to the task map with their tasks: ``_score_task`` scores
-every row, pilot or not.
+for the Gaussian convention, or for a potential the value a resumed run's
+manifest recorded) or else estimated from the size's pilot, its first
+min(32, draws) spectra, which then travel to the task map with their tasks:
+``_score_task`` scores every row, pilot or not.
 Result CSVs are append-only with a per-row checksum.  One output directory
 holds one config: a run into a directory with any result file must carry the
 config digest of the manifest written before the first row; it then keeps
@@ -427,9 +427,10 @@ def _task_map(config: ExperimentConfig):
 def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     """The run plan: each size's window, and one scorer of its spectra.
 
-    A size's psi is known for the Gaussian convention (the semicircle value)
-    or when the manifest of the run being resumed recorded it; otherwise it
-    is estimated from that size's pilot, its first min(32, draws) spectra.
+    A size's psi is known for the Gaussian convention (the semicircle value,
+    never read back from a manifest) or, for a potential, when the manifest
+    of the run being resumed recorded it; otherwise it is estimated from
+    that size's pilot, its first min(32, draws) spectra.
     The pilots are drawn through the task map before any row, and their
     sampler states enter ``health`` before any estimate, so they reach the
     manifest also when an estimate aborts.
@@ -439,9 +440,10 @@ def _plan(config: ExperimentConfig, recorded_psi: dict, health: dict):
     row is scored by ``_score_task`` in the task map; a pilot spectrum
     travels there with its task, the others are drawn there.
     """
-    gaussian = isinstance(config.potential, str)
-    known = {n: float(semicircle_density(config.window_a)) for n in config.sizes if gaussian}
-    known.update(recorded_psi)
+    if isinstance(config.potential, str):
+        known = {n: float(semicircle_density(config.window_a)) for n in config.sizes}
+    else:
+        known = dict(recorded_psi)
     with _task_map(config) as task_map:
         tasks = _tasks([n for n in config.sizes if n not in known], min(PILOT_DRAWS, config.draws))
         pilots = dict(zip(tasks, task_map(partial(_draw_spectrum, config), tasks)))

@@ -32,7 +32,8 @@ components, so G_1, G_2 and G_4 are read from it without a quadrature table;
 their collocation equations are Simpson's rule, summed once sigma is solved.
 
 Independent cross-checks: a Nystrom Fredholm determinant for beta=2 and a
-truncated correlation-function series for all beta (small s).
+truncated series for all beta (small s) in the limiting k-point correlation
+functions W_k, which ``corr_fn`` evaluates from the kernels of ``kernels``.
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import _lapack
-from .kernels import corr_fn, pfaffian, skew_kernel_block
+from .kernels import pfaffian, skew_kernel_block
 
 __all__ = [
+    "CORR_ORDER_MAX",
     "GapCurve",
     "SigmaTrajectory",
     "UniversalSpacingCDF",
     "build_universal_cdf",
+    "corr_fn",
     "fredholm_g2",
     "gap_curves",
     "gap_probability",
@@ -71,10 +74,11 @@ SEED_T0 = 1e-3
 # the far boundary condition, T_MAX_LIMIT.
 ASYM_COEFFS = {2: -0.25, 4: -2.5, 6: -65.5, 8: -3287.5}
 
-# Reach of the trajectory, and so of the tabulated curves: G_4 at s needs
-# t = 2 pi s.
+# Reach of the trajectory.  G_beta at s reads it at t = T_PER_S[beta] * s,
+# so the tabulated curves of every beta reach S_MAX_LIMIT, where G_4 does.
 T_MAX_LIMIT = 200.0
-S_MAX_LIMIT = T_MAX_LIMIT / (2 * PI)
+T_PER_S = {1: PI, 2: PI, 4: 2 * PI}
+S_MAX_LIMIT = T_MAX_LIMIT / T_PER_S[4]
 
 # Roundoff near the seed can push the radicands (-v' and the ODE radicand)
 # slightly negative; anything beyond this clamp is a genuine branch violation.
@@ -188,18 +192,13 @@ def integrate_sigma() -> SigmaTrajectory:
     solves once and a repeated call returns the same (frozen) trajectory.
     A failed solve raises and is not remembered.
     """
-    return _solve(SEED_T0)
-
-
-def _solve(seed_at: float) -> SigmaTrajectory:
-    """The sigma-BVP solved between ``seed_at`` and T_MAX_LIMIT."""
-    seed = _seed(seed_at)
+    seed = _seed(SEED_T0)
     # sigma, Int v and (1/2) Int sqrt(-v') at the seed, sigma at the far end.
     bc = np.array([seed[0], seed[4], seed[5], _asym(T_MAX_LIMIT)[0]])
     # Uniform in asinh(2t): even steps below t ~ 1/2, geometric ones beyond.
-    ends = np.arcsinh(2 * np.array([seed_at, T_MAX_LIMIT]))
+    ends = np.arcsinh(2 * np.array([SEED_T0, T_MAX_LIMIT]))
     mesh = np.sinh(np.linspace(*ends, MESH_NODES)) / 2
-    mesh[[0, -1]] = seed_at, T_MAX_LIMIT
+    mesh[[0, -1]] = SEED_T0, T_MAX_LIMIT
     # sigma and sigma' from the series near the seed and the expansion beyond.
     guess = np.where(mesh < 2.0, _seed(mesh)[:2], _asym(mesh))
     y, dense = _collocate(mesh, guess, bc)
@@ -211,9 +210,9 @@ def _solve(seed_at: float) -> SigmaTrajectory:
     if np.any(rad < -RADICAND_CLAMP):
         bad = mesh[int(np.argmin(rad))]
         raise RuntimeError(f"sigma-ODE branch violation at t={bad:g}")
-    near = np.linspace(seed_at, 10 * seed_at, 50)
+    near = np.linspace(SEED_T0, 10 * SEED_T0, 50)
     if np.max(np.abs(dense(near)[0] - _seed(near)[0])) > 1e-8:
-        raise RuntimeError(f"sigma-ODE branch violation at t={10 * seed_at:g}")
+        raise RuntimeError(f"sigma-ODE branch violation at t={10 * SEED_T0:g}")
     return SigmaTrajectory(dense)
 
 
@@ -366,9 +365,9 @@ def _gap_and_slope(traj: SigmaTrajectory, beta: int, s):
     survive far into the Gaussian tail without underflow; the symplectic
     value at s is assembled from the others at 2s.
     """
-    if beta not in (1, 2, 4):
+    if beta not in T_PER_S:
         raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
-    u = (2.0 if beta == 4 else 1.0) * PI * np.asarray(s, dtype=float)
+    u = T_PER_S[beta] * np.asarray(s, dtype=float)
     _, v, neg_v_prime, el, jay = traj.at(u)
     w = np.sqrt(neg_v_prime)
     if beta == 2:
@@ -386,8 +385,8 @@ def gap_curves(traj: SigmaTrajectory, beta: int, s_max: float) -> GapCurve:
     """Tabulate G_beta and its derivative on [0, s_max] in steps of
     GAP_STEP, up to s_max rounded to a step but never past s_max.
 
-    G_beta at s reads the trajectory at t = pi*s, or 2*pi*s for beta=4, and
-    the trajectory's lookup refuses any t past its reach.  G_4 underflows to
+    G_beta at s reads the trajectory at t = T_PER_S[beta]*s, and the
+    trajectory's lookup refuses any t past its reach.  G_4 underflows to
     0 from s = 17.37 on and G_2 from 24.554.
     """
     grid = np.minimum(np.arange(0.0, s_max + GAP_STEP / 2, GAP_STEP), s_max)
@@ -405,15 +404,14 @@ class UniversalSpacingCDF:
 
     ``nodes[i-1]`` is the point s_i with F(s_i) = i/M for i = 1..M-1; the
     node list is what the Kolmogorov-distance bound of the verification
-    experiment evaluates the empirical distribution at.  ``survival`` holds
-    1 - F computed as -G' directly, which stays meaningful deep in the
-    Gaussian tail where 1.0 - cdf would cancel to zero.
+    experiment evaluates the empirical distribution at.  Deep in the
+    Gaussian tail 1.0 - cdf cancels to zero; -G' of the ``GapCurve`` keeps
+    that tail.
     """
 
     beta: int
     grid: np.ndarray
     cdf: np.ndarray
-    survival: np.ndarray
     nodes: np.ndarray
 
     @property
@@ -449,11 +447,7 @@ def universal_cdf(curve: GapCurve, m_nodes: int) -> UniversalSpacingCDF:
     # Invert on the strictly increasing part only (the tail saturates at 1).
     _, first = np.unique(f, return_index=True)
     nodes = np.interp(quantiles, f[first], curve.grid[first])
-    survival = np.clip(-curve.gap_prime, 0.0, 1.0)
-    survival[0] = 1.0
-    return UniversalSpacingCDF(
-        beta=curve.beta, grid=curve.grid, cdf=f, survival=survival, nodes=nodes
-    )
+    return UniversalSpacingCDF(beta=curve.beta, grid=curve.grid, cdf=f, nodes=nodes)
 
 
 def build_universal_cdf(
@@ -463,8 +457,6 @@ def build_universal_cdf(
 
     s_max must lie in (0, S_MAX_LIMIT], the reach of the trajectory.
     """
-    if beta not in (1, 2, 4):
-        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s_max <= S_MAX_LIMIT:
         raise ValueError(f"s_max must lie in (0, 100/pi = {S_MAX_LIMIT:.4f}], got {s_max:g}")
     return universal_cdf(gap_curves(integrate_sigma(), beta, s_max), m_nodes)
@@ -485,10 +477,15 @@ def fredholm_g2(s: float, n: int = 60) -> float:
     sqrt(w_j); the determinant of I minus that matrix converges spectrally
     in n because the kernel is entire.  Entirely independent of the
     Painleve route.  Where G_2 underflows the determinant's roundoff can
-    fall below 0, so the value is clamped at +0.0.
+    fall below 0, so the value is clamped at +0.0.  s is refused past the
+    Painleve route's reach, T_PER_S[2] * s <= T_MAX_LIMIT: beyond it the
+    quadrature no longer resolves the sine kernel.
     """
     if not 0 < s < np.inf:
         raise ValueError(f"s must be finite and positive, got {s}")
+    if T_PER_S[2] * s > T_MAX_LIMIT:
+        limit = T_MAX_LIMIT / T_PER_S[2]
+        raise ValueError(f"s must lie in (0, {T_MAX_LIMIT:g}/pi = {limit:.4f}], got {s:g}")
     if not 4 <= n <= 400:
         raise ValueError("quadrature order must lie in [4, 400]")
     x, w = np.polynomial.legendre.leggauss(n)
@@ -496,6 +493,35 @@ def fredholm_g2(s: float, n: int = 60) -> float:
     sw = np.sqrt(0.5 * s * w)
     m = np.eye(n) - sw[:, None] * np.sinc(x[:, None] - x[None, :]) * sw[None, :]
     return max(0.0, float(np.linalg.det(m)))
+
+
+# Practical cap: the Pfaffian route costs O((2k)^3) per point set, vectorised
+# over a batch of point sets, and needs one antiderivative per entry.
+CORR_ORDER_MAX = 8
+
+
+def corr_fn(beta: int, points):
+    """Limiting k-point bulk correlation function W_k at the given rescaled
+    points.
+
+    beta=2 evaluates the determinant of the sine-kernel Gram matrix; beta=1
+    and beta=4 evaluate the Pfaffian of the 2k x 2k skew kernel block.  A
+    point set of shape (k,) gives a float; a batch of shape (..., k) gives an
+    array of shape (...), in one vectorised pass.
+    """
+    pts = np.asarray(points, dtype=float)
+    k = pts.shape[-1] if pts.ndim else 0
+    if k < 1:
+        raise ValueError("at least one point is required")
+    if k > CORR_ORDER_MAX:
+        raise ValueError("correlation order too large")
+    if beta == 2:
+        out = np.linalg.det(np.sinc(pts[..., :, None] - pts[..., None, :]))
+    elif beta in (1, 4):
+        out = pfaffian(skew_kernel_block(beta, pts))
+    else:
+        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    return float(out) if pts.ndim == 1 else out
 
 
 # Gauss-Legendre nodes per axis for each order k >= 2 of the correlation
@@ -507,14 +533,12 @@ def series_gap(beta: int, s: float) -> float:
     """Truncated correlation-function series for the gap probability.
 
     G_beta(s) ~ 1 + sum_{k<=4} (-1)^k Int_{0<=x_1<=...<=x_k<=s} W_k dx,
-    with each ordered-simplex integral evaluated by a tensor-product
-    Gauss-Legendre rule mapped onto the simplex (x_j = s t_j t_{j+1}...t_k,
-    Jacobian s^k prod t_i^{i-1}), which keeps all quadrature points strictly
-    ordered and away from coincidences.  Truncation error is O(s^5), so the
-    series is only admitted for s <= 1.
+    with each ordered-simplex integral of ``corr_fn`` evaluated by a
+    tensor-product Gauss-Legendre rule mapped onto the simplex
+    (x_j = s t_j t_{j+1}...t_k, Jacobian s^k prod t_i^{i-1}), which keeps all
+    quadrature points strictly ordered and away from coincidences.
+    Truncation error is O(s^5), so the series is only admitted for s <= 1.
     """
-    if beta not in (1, 2, 4):
-        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
     if not 0.0 < s <= 1.0:
         raise ValueError("series truncation is only accurate for 0 < s <= 1")
     total = 1.0 - s  # k = 1 term: W_1 == 1
@@ -534,12 +558,6 @@ def series_gap(beta: int, s: float) -> float:
             coords.append(s * running)
         coords = coords[::-1]
         pts = np.stack([c.ravel() for c in coords], axis=1)
-        # One batched Pfaffian per order, called from this module (not
-        # through corr_fn) so that perfbench's tracer, which wraps
-        # gaps.pfaffian, sees it.
-        if beta == 2:
-            vals = corr_fn(2, pts)
-        else:
-            vals = pfaffian(skew_kernel_block(beta, pts))
+        vals = corr_fn(beta, pts)
         total += (-1.0) ** k * float(s**k * np.sum(weight.ravel() * vals))
     return total

@@ -1,16 +1,16 @@
-"""Limiting bulk kernels and correlation functions.
+"""Limiting bulk kernels, the skew kernel block and the Pfaffian.
 
 The scalar sine kernel sin(pi(x-y))/(pi(x-y)) governs the unitary (beta=2)
 bulk; the orthogonal (beta=1) and symplectic (beta=4) bulks are governed by a
 2x2 matrix kernel whose entries are the sine kernel, its derivative, and its
 antiderivative (with a sign correction for beta=1).  The k-point correlation
 functions are determinants (beta=2) or Pfaffians (beta=1,4) built from these
-entries.
+entries; ``gaps.corr_fn`` evaluates them.
 
-The one kernel-block builder (the skew block), the Pfaffian and corr_fn
-take a leading batch axis: a stack of point sets of shape (..., k) is
-evaluated in one vectorised pass, which is how the correlation series of the
-gaps module integrates W_k over thousands of quadrature points at once.
+The one kernel-block builder (the skew block) and the Pfaffian take a
+leading batch axis: a stack of point sets of shape (..., k) is evaluated in
+one vectorised pass, which is how the correlation series of the gaps module
+integrates W_k over thousands of quadrature points at once.
 
 All functions here are pure; there is no shared mutable state.
 """
@@ -23,19 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "CORR_ORDER_MAX",
     "MatrixKernelValue",
-    "corr_fn",
     "matrix_kernel",
     "pfaffian",
     "sinc_antideriv",
     "sinc_deriv",
     "skew_kernel_block",
 ]
-
-# Practical cap: the Pfaffian route costs O((2k)^3) per point set, vectorised
-# over a batch of point sets, and needs one antiderivative per entry.
-CORR_ORDER_MAX = 8
 
 # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!) reaches roundoff in 17
 # terms for |x| <= 4; beyond, 44 levels of the continued fraction of E1 do.
@@ -209,24 +203,3 @@ def skew_kernel_block(beta: int, points) -> np.ndarray:
     m[..., 1::2, 1::2] = i
     return m
 
-
-def corr_fn(beta: int, points):
-    """Limiting k-point bulk correlation function at the given rescaled points.
-
-    beta=2 evaluates the determinant of the sine-kernel Gram matrix; beta=1
-    and beta=4 evaluate the Pfaffian of the 2k x 2k skew kernel block.  A point set of shape (k,) gives a
-    float; a batch of shape (..., k) gives an array of shape (...).
-    """
-    pts = np.asarray(points, dtype=float)
-    k = pts.shape[-1] if pts.ndim else 0
-    if k < 1:
-        raise ValueError("at least one point is required")
-    if k > CORR_ORDER_MAX:
-        raise ValueError("correlation order too large")
-    if beta == 2:
-        out = np.linalg.det(np.sinc(pts[..., :, None] - pts[..., None, :]))
-    elif beta in (1, 4):
-        out = pfaffian(skew_kernel_block(beta, pts))
-    else:
-        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
-    return float(out) if pts.ndim == 1 else out

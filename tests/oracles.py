@@ -270,8 +270,17 @@ def variance_diagnostic(
     )
 
 
-def tail_fit(cdf, window: tuple[float, float] = (2.0, 6.0)):
-    """Gaussian-tail fit of the spacing distribution.
+def survival(curve) -> np.ndarray:
+    """1 - F_beta on a gap curve's grid, read as -G' so that it stays
+    meaningful deep in the Gaussian tail, where 1.0 - F cancels to zero;
+    clipped to [0, 1], and 1 at s = 0."""
+    tail = np.clip(-curve.gap_prime, 0.0, 1.0)
+    tail[0] = 1.0
+    return tail
+
+
+def tail_fit(curve, window: tuple[float, float] = (2.0, 6.0)):
+    """Gaussian-tail fit of the spacing distribution of a gap curve.
 
     The decay rate B is the negative least-squares slope of log(1 - F)
     against s^2 over the window.  The prefactor A is the smallest constant
@@ -281,11 +290,12 @@ def tail_fit(cdf, window: tuple[float, float] = (2.0, 6.0)):
     the window the fit is restricted to the usable part with a warning.
     """
     lo, hi = window
-    if cdf.grid[-1] < hi:
-        raise ValueError(f"CDF grid must reach s={hi}")
-    mask = (cdf.grid >= lo) & (cdf.grid <= hi)
-    tail = cdf.survival[mask]
-    s = cdf.grid[mask]
+    if curve.grid[-1] < hi:
+        raise ValueError(f"gap curve grid must reach s={hi}")
+    one_minus_f = survival(curve)
+    mask = (curve.grid >= lo) & (curve.grid <= hi)
+    tail = one_minus_f[mask]
+    s = curve.grid[mask]
     usable = tail > 1e-290
     if not np.all(usable):
         warnings.warn(
@@ -298,8 +308,8 @@ def tail_fit(cdf, window: tuple[float, float] = (2.0, 6.0)):
         raise ValueError("tail fit window contains too few usable points")
     coeffs = np.polynomial.polynomial.polyfit(s**2, np.log(tail), 1)
     rate = float(-coeffs[1])
-    positive = cdf.survival > 0
+    positive = one_minus_f > 0
     log_envelope = np.max(
-        np.log(cdf.survival[positive]) + rate * cdf.grid[positive] ** 2
+        np.log(one_minus_f[positive]) + rate * curve.grid[positive] ** 2
     )
     return float(np.exp(max(coeffs[0], log_envelope))), rate

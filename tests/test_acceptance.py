@@ -13,18 +13,19 @@ import pytest
 from scipy import stats
 
 from conftest import gue_window
-from oracles import CENTER_DENSITY, corr_fn_expansion, tail_fit, variance_diagnostic
+from oracles import CENTER_DENSITY, corr_fn_expansion, survival, tail_fit, variance_diagnostic
 from spacinglab.ensembles import EnsembleSpec, SamplerState, sample_mcmc, sample_tridiagonal
 from spacinglab.experiment import stream_id
 from spacinglab.gaps import (
     SEED_T0,
+    corr_fn,
     fredholm_g2,
     gap_probability,
     integrate_sigma,
     series_gap,
     universal_cdf,
 )
-from spacinglab.kernels import corr_fn, pfaffian
+from spacinglab.kernels import pfaffian
 from spacinglab.spacings import (
     Window,
     default_window,
@@ -122,11 +123,11 @@ def test_c04_series_vs_painleve(traj):
     assert elapsed < budget
 
 
-def test_c05_tail_exponents(cdfs):
+def test_c05_tail_exponents(curves):
     budget = 5.0
     t0 = time.perf_counter()
-    _, b2 = tail_fit(cdfs[2])
-    _, b1 = tail_fit(cdfs[1])
+    _, b2 = tail_fit(curves[2])
+    _, b1 = tail_fit(curves[1])
     rel2 = abs(b2 - PI**2 / 8.0) / (PI**2 / 8.0)
     rel1 = abs(b1 - PI**2 / 16.0) / (PI**2 / 16.0)
     elapsed = time.perf_counter() - t0
@@ -140,24 +141,26 @@ def test_c05_tail_exponents(cdfs):
     assert elapsed < budget
 
 
-def test_c06_cdf_sanity(cdfs):
+def test_c06_cdf_sanity(cdfs, curves):
     budget = 5.0
     t0 = time.perf_counter()
     details = []
     ok = True
     for beta, cdf in sorted(cdfs.items()):
-        tail8 = float(np.interp(8.0, cdf.grid, cdf.survival))
-        mean = float(np.trapezoid(cdf.survival, cdf.grid))
+        tail = survival(curves[beta])
+        tail8 = float(np.interp(8.0, cdf.grid, tail))
+        mean = float(np.trapezoid(tail, cdf.grid))
         details.append(f"beta={beta}: 1-F(8)={tail8:.1e}, mean={mean:.4f}")
         ok = ok and cdf.cdf[0] == 0.0 and np.all(np.diff(cdf.cdf) >= 0)
         ok = ok and tail8 <= 1e-4 and abs(mean - 1.0) <= 0.01
     elapsed = time.perf_counter() - t0
     report(6, "universal CDF sanity", ok, "; ".join(details), elapsed, budget)
     for beta, cdf in cdfs.items():
+        tail = survival(curves[beta])
         assert cdf.cdf[0] == 0.0
         assert np.all(np.diff(cdf.cdf) >= 0)
-        assert float(np.interp(8.0, cdf.grid, cdf.survival)) <= 1e-4
-        assert float(np.trapezoid(cdf.survival, cdf.grid)) == pytest.approx(1.0, abs=0.01)
+        assert float(np.interp(8.0, cdf.grid, tail)) <= 1e-4
+        assert float(np.trapezoid(tail, cdf.grid)) == pytest.approx(1.0, abs=0.01)
     assert elapsed < budget
 
 

@@ -456,6 +456,24 @@ class TestVerifyRun:
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
         assert json.loads((out / "manifest.json").read_text())["psi"] == psi
 
+    def test_gaussian_resume_never_reads_psi_back(self, tmp_path, tiny_cdf):
+        # A Gaussian size's psi is the semicircle value: a tampered manifest
+        # used to hand 0.2 to the resumed rows, which then read A_N
+        # 1.21257325321 against the first rows' 1.92987027109.
+        cfg = tiny_config(tmp_path, sizes=(16,))
+        run_verify(cfg, cdf=tiny_cdf)
+        path, manifest_path = tmp_path / "results_beta2.csv", tmp_path / "manifest.json"
+        rows, summary = path.read_bytes(), (tmp_path / "summary.json").read_bytes()
+        manifest = json.loads(manifest_path.read_text())
+        psi = manifest["psi"]
+        manifest["psi"] = {"16": 0.2}
+        manifest_path.write_text(json.dumps(manifest))
+        path.write_text("\n".join(rows.decode().splitlines()[:-2]) + "\n")
+        run_verify(cfg, cdf=tiny_cdf)
+        assert path.read_bytes() == rows
+        assert (tmp_path / "summary.json").read_bytes() == summary
+        assert json.loads(manifest_path.read_text())["psi"] == psi
+
     def test_verdict_reads_sizes_in_increasing_order(self, tmp_path, tiny_cdf):
         # Listed as (64, 32), the decreasing bounds used to read as increasing.
         ordered = run_verify(tiny_config(tmp_path / "a"), cdf=tiny_cdf)
@@ -1240,6 +1258,23 @@ class TestProcessStartup:
         assert _fresh_python(code) == []
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["mcmc_acceptance"]["16"]["chains"] == 3
+
+    def test_benchmark_tracer_wraps_names_that_exist(self):
+        # perfbench/tracer.py wraps package functions by module and name;
+        # its install fails on a name that has moved.  The correlation
+        # series makes one batched Pfaffian per order through gaps.pfaffian.
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "from tracer import Tracer\n"
+            "from spacinglab import gaps\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "gaps.series_gap(1, 0.5)\n"
+            "print(*[span[0] for span in tracer.spans])\n"
+        )
+        assert _fresh_python(code) == ["kernels.pfaffian"] * 3
 
     @pytest.mark.parametrize("chains", [1, 2, 5, 8])
     def test_acceptance_median_equals_numpy(self, chains):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from oracles import tail_fit
+from oracles import survival, tail_fit
 from spacinglab import cli, gaps
 from spacinglab.experiment import write_table
 from spacinglab.gaps import (
@@ -14,6 +14,7 @@ from spacinglab.gaps import (
     S_MAX_LIMIT,
     SEED_T0,
     T_MAX_LIMIT,
+    T_PER_S,
     SigmaTrajectory,
     _asym,
     _band_solve,
@@ -21,8 +22,8 @@ from spacinglab.gaps import (
     _jacobian_blocks,
     _seed,
     _sigma_rhs,
-    _solve,
     build_universal_cdf,
+    corr_fn,
     fredholm_g2,
     gap_curves,
     gap_probability,
@@ -71,8 +72,10 @@ class TestSigmaTrajectory:
         assert np.all(sigma < 0)
         assert np.all(np.diff(sigma) < 0)
 
-    def test_reseeding_consistency(self, traj):
-        other = _solve(2 * SEED_T0)
+    def test_reseeding_consistency(self, traj, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(gaps, "SEED_T0", 2 * SEED_T0)
+            other = integrate_sigma.__wrapped__()
         t = np.linspace(2 * SEED_T0, 15.0, 500)
         assert np.max(np.abs(other.at(t).sigma - traj.at(t).sigma)) <= 1e-8
 
@@ -204,6 +207,14 @@ class TestFredholm:
             with pytest.raises(ValueError, match="finite"):
                 fredholm_g2(s)
 
+    def test_reach(self):
+        # Past the reach the determinant used to return 57639462.07 at
+        # s = 200 and 0.0076 at s = 100, n = 40, where G_2 is 0.
+        assert fredholm_g2(T_MAX_LIMIT / T_PER_S[2]) == 0.0
+        for s, n in ((200.0, 60), (100.0, 40), (63.67, 60)):
+            with pytest.raises(ValueError, match=r"s must lie in \(0, 200/pi = 63\.6620\]"):
+                fredholm_g2(s, n=n)
+
 
 class TestSeriesGap:
     def test_unitary_matches_fredholm(self):
@@ -219,13 +230,30 @@ class TestSeriesGap:
             series_gap(2, 1.5)
 
 
+@pytest.mark.parametrize("beta", [0, 3])
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda beta: build_universal_cdf(beta, 6.0, 10),
+        lambda beta: gap_curves(integrate_sigma(), beta, 1.0),
+        lambda beta: gap_probability(integrate_sigma(), beta, 0.5),
+        lambda beta: series_gap(beta, 0.5),
+        lambda beta: corr_fn(beta, [0.1, 0.4]),
+    ],
+    ids=["build_universal_cdf", "gap_curves", "gap_probability", "series_gap", "corr_fn"],
+)
+def test_invalid_beta_on_every_law_entry(law, beta):
+    with pytest.raises(ValueError, match=rf"^beta must be 1, 2 or 4, got {beta}$"):
+        law(beta)
+
+
 class TestUniversalCDF:
-    def test_probability_distribution(self, cdfs):
+    def test_probability_distribution(self, cdfs, curves):
         for beta, cdf in cdfs.items():
             assert cdf.cdf[0] == 0.0
             assert np.all(np.diff(cdf.cdf) >= 0)
             assert 1.0 - cdf.evaluate(8.0) <= 1e-4
-            mean = np.trapezoid(cdf.survival, cdf.grid)
+            mean = np.trapezoid(survival(curves[beta]), cdf.grid)
             assert mean == pytest.approx(1.0, abs=0.01)
 
     def test_nodes_are_quantiles(self, cdfs):
@@ -251,13 +279,13 @@ class TestUniversalCDF:
 
 
 class TestTailFit:
-    def test_exponents(self, cdfs):
-        a2, b2 = tail_fit(cdfs[2])
+    def test_exponents(self, curves):
+        a2, b2 = tail_fit(curves[2])
         assert b2 == pytest.approx(PI**2 / 8.0, rel=0.10)
-        a1, b1 = tail_fit(cdfs[1])
+        a1, b1 = tail_fit(curves[1])
         assert b1 == pytest.approx(PI**2 / 16.0, rel=0.15)
         for beta in (1, 2, 4):
-            a, b = tail_fit(cdfs[beta])
+            a, b = tail_fit(curves[beta])
             assert a >= 1.0
             assert b > 0.0
 
@@ -306,7 +334,7 @@ class TestSolveOnce:
     def test_memoized_equals_fresh_solve(self):
         t = np.linspace(0.0, T_MAX_LIMIT, 2001)
         memo = integrate_sigma().at(t)
-        fresh = _solve(SEED_T0).at(t)
+        fresh = integrate_sigma.__wrapped__().at(t)
         for name in memo._fields:
             assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes(), name
 
@@ -352,9 +380,9 @@ class TestCollocation:
 
     @pytest.fixture(scope="class")
     def solve_bvp_trajectory(self):
-        # The problem as gaps._solve poses it, bc, mesh and guess, but with
-        # both integrals as Newton unknowns: the summed integrals must equal
-        # the coupled solution.
+        # The problem as gaps.integrate_sigma poses it, bc, mesh and guess,
+        # but with both integrals as Newton unknowns: the summed integrals
+        # must equal the coupled solution.
         seed, far = _seed(SEED_T0), _asym(T_MAX_LIMIT)
 
         def bc(ya, yb):
@@ -423,13 +451,13 @@ class TestCollocation:
         name, value, reason = cap
         monkeypatch.setattr(gaps, name, value)
         with pytest.raises(RuntimeError, match=f"collocation failed: {reason}"):
-            _solve(SEED_T0)
+            integrate_sigma.__wrapped__()
 
     def test_mesh_has_margin(self, monkeypatch):
         # The largest interval residual is 0.33 BVP_TOL, so a mesh too
         # coarse for half the tolerance fails here first.
         monkeypatch.setattr(gaps, "BVP_TOL", gaps.BVP_TOL / 2)
-        assert isinstance(_solve(SEED_T0), SigmaTrajectory)
+        assert isinstance(integrate_sigma.__wrapped__(), SigmaTrajectory)
 
     def test_one_mesh(self, monkeypatch):
         real, meshes = gaps._hermite, []
@@ -439,5 +467,5 @@ class TestCollocation:
             return real(x, *args)
 
         monkeypatch.setattr(gaps, "_hermite", recorded)
-        _solve(SEED_T0)
+        integrate_sigma.__wrapped__()
         assert meshes == [gaps.MESH_NODES]

@@ -6,13 +6,8 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from oracles import corr_fn_expansion, regularized_antideriv4
-from spacinglab.kernels import (
-    _sine_integral,
-    corr_fn,
-    matrix_kernel,
-    pfaffian,
-    sinc_antideriv,
-)
+from spacinglab.gaps import corr_fn
+from spacinglab.kernels import _sine_integral, matrix_kernel, pfaffian, sinc_antideriv
 
 
 def test_antideriv_matches_adaptive_quadrature():
